@@ -88,6 +88,34 @@ func (s *Solver) lNorm2(x []float64) float64 {
 	return sparse.Norm2(x)
 }
 
+// lMDot is the multi-column lDot, h[i] = x·v[i]: one pool.Dot per
+// column when pooled (the fixed-slot fold), sparse.MDot — bitwise equal
+// to sparse.Dot column by column — when serial.
+func (s *Solver) lMDot(x []float64, v [][]float64, h []float64) {
+	if s.pool == nil {
+		sparse.MDot(x, v, h)
+		return
+	}
+	for i := range v {
+		h[i] = s.pool.Dot(x, v[i])
+	}
+}
+
+// norm2 is the global ‖x‖₂ over the pool-aware local half.
+func (s *Solver) norm2(x []float64) float64 {
+	l := s.lNorm2(x)
+	return math.Sqrt(s.c.AllReduceFloat64(l*l, comm.OpSum))
+}
+
+// cgsPass is one classical Gram–Schmidt pass of w against v: the
+// projections h = Vᵀw (one collective), then w −= V·h. It returns h,
+// which lives in the workspace until the next pass.
+func (s *Solver) cgsPass(w []float64, v [][]float64) []float64 {
+	h := s.fusedMDot(w, v)
+	sparse.MAXPY(h, v, w)
+	return h
+}
+
 // NewSolver creates a solver with default options and parameters.
 func NewSolver(c *comm.Comm) *Solver {
 	return &Solver{
@@ -502,7 +530,7 @@ func (s *Solver) gmres(x, b []float64) error {
 			r0 = beta
 			denom = s.convDenominator(r0, bnorm)
 		} else {
-			beta = pmat.Norm2(s.c, w)
+			beta = s.norm2(w)
 		}
 		if beta/denom <= tol {
 			s.finish(it, beta, denom, AZNormal)
@@ -525,11 +553,15 @@ func (s *Solver) gmres(x, b []float64) error {
 			it++
 			s.applyA(t, v[j])
 			s.prec.apply(w, t)
-			for i := 0; i <= j; i++ {
-				h[i*m+j] = pmat.Dot(s.c, w, v[i])
-				sparse.Axpy(-h[i*m+j], v[i], w)
+			// AztecOO's default AZ_classic: two classical Gram–Schmidt
+			// passes, three collectives per iteration with the norm.
+			for i, x := range s.cgsPass(w, v[:j+1]) {
+				h[i*m+j] = x
 			}
-			hj1 := pmat.Norm2(s.c, w)
+			for i, x := range s.cgsPass(w, v[:j+1]) {
+				h[i*m+j] += x
+			}
+			hj1 := s.norm2(w)
 			if hj1 > 0 {
 				for i := range w {
 					v[j+1][i] = w[i] / hj1

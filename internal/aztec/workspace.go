@@ -16,6 +16,7 @@ type azWorkspace struct {
 	basisN, basisM  int
 	v               [][]float64
 	h, g, cs, sn, y []float64 // h is packed (m+1)×m, h[i*m+j]
+	hj              []float64 // one Gram–Schmidt pass's projections, staged for its AllReduce
 
 	red [3]float64 // staging for fused reductions
 }
@@ -47,6 +48,7 @@ func (s *Solver) wsKrylov(n, m int) *azWorkspace {
 		ws.cs = make([]float64, m)
 		ws.sn = make([]float64, m)
 		ws.y = make([]float64, m)
+		ws.hj = make([]float64, m+1)
 		ws.basisN, ws.basisM = n, m
 	}
 	return ws
@@ -91,4 +93,15 @@ func (s *Solver) fusedDot2(a1, b1, a2, b2 []float64) (float64, float64) {
 	s.ws.red[1] = s.lDot(a2, b2)
 	s.c.AllReduceFloat64sInPlace(s.ws.red[:2], comm.OpSum)
 	return s.ws.red[0], s.ws.red[1]
+}
+
+// fusedMDot returns the projections x·v[i] for every column of v with
+// one AllReduce, staged in the workspace. The dots of one Gram–Schmidt
+// pass are independent, so each element is bitwise identical to its
+// unfused global dot.
+func (s *Solver) fusedMDot(x []float64, v [][]float64) []float64 {
+	h := s.ws.hj[:len(v)]
+	s.lMDot(x, v, h)
+	s.c.AllReduceFloat64sInPlace(h, comm.OpSum)
+	return h
 }

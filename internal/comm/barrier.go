@@ -45,13 +45,16 @@ func newBarrier(parties int, abortCh chan struct{}) *barrier {
 }
 
 // await blocks until all parties of the current generation have entered,
-// the world aborts, or done fires — whichever comes first.
-func (b *barrier) await(done <-chan struct{}) awaitResult {
+// the world aborts, or done fires — whichever comes first. It also
+// returns how long the caller was parked: the clock is read only on the
+// parking path, so the last arrival (and every entry on a size-1 world)
+// reports zero wait without touching it.
+func (b *barrier) await(done <-chan struct{}) (awaitResult, time.Duration) {
 	b.mu.Lock()
 	select {
 	case <-b.abortCh:
 		b.mu.Unlock()
-		return awaitAborted
+		return awaitAborted, 0
 	default:
 	}
 	b.waiting++
@@ -63,18 +66,20 @@ func (b *barrier) await(done <-chan struct{}) awaitResult {
 		for i := 0; i < b.parties-1; i++ {
 			t <- struct{}{} // buffered to parties: never blocks
 		}
-		return awaitOK
+		return awaitOK, 0
 	}
 	t := b.tokens[b.gen%2]
 	b.mu.Unlock()
+	start := time.Now()
+	res := awaitOK
 	select {
 	case <-t:
-		return awaitOK
 	case <-b.abortCh:
-		return awaitAborted
+		res = awaitAborted
 	case <-done:
-		return awaitCtxDone
+		res = awaitCtxDone
 	}
+	return res, time.Since(start)
 }
 
 // Barrier blocks until every rank in the world has entered it, the world
@@ -87,9 +92,10 @@ func (c *Comm) Barrier() {
 	}
 	st := &c.w.stats[c.rank]
 	st.barriers.Add(1)
-	start := time.Now()
-	res := c.w.bar.await(c.ctxDone())
-	st.barrierWaitNs.Add(int64(time.Since(start)))
+	res, wait := c.w.bar.await(c.ctxDone())
+	if wait > 0 {
+		st.barrierWaitNs.Add(int64(wait))
+	}
 	switch res {
 	case awaitAborted:
 		panic(ErrAborted)

@@ -121,3 +121,74 @@ func TestCommStatsPerRank(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBarrierWaitMonotone checks that the barrier-wait counter only
+// grows: rank-local snapshots taken between collectives never decrease,
+// and neither do world totals across regions.
+func TestBarrierWaitMonotone(t *testing.T) {
+	w, _ := NewWorld(2)
+	var prevTotal time.Duration
+	for round := 0; round < 3; round++ {
+		err := w.Run(func(c *Comm) {
+			prev := c.Stats().BarrierWait
+			for i := 0; i < 50; i++ {
+				c.AllReduceFloat64(1, OpSum)
+				cur := c.Stats().BarrierWait
+				if cur < prev {
+					panic("rank-local BarrierWait decreased")
+				}
+				prev = cur
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := w.Stats().BarrierWait
+		if total < prevTotal {
+			t.Fatalf("round %d: world BarrierWait decreased: %v < %v", round, total, prevTotal)
+		}
+		prevTotal = total
+	}
+}
+
+// TestBarrierWaitOnlyWhenParked checks that only a rank that actually
+// parks records wait time: in one two-party barrier the last arrival
+// records exactly zero and the other rank a positive wait.
+func TestBarrierWaitOnlyWhenParked(t *testing.T) {
+	w, _ := NewWorld(2)
+	err := w.Run(func(c *Comm) {
+		if c.Rank() == 1 {
+			time.Sleep(10 * time.Millisecond) // usually arrives last
+		}
+		c.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w0, w1 := w.RankStats(0).BarrierWait, w.RankStats(1).BarrierWait
+	if (w0 == 0) == (w1 == 0) || w0 < 0 || w1 < 0 {
+		t.Fatalf("want exactly one parked rank with positive wait, got rank 0 %v, rank 1 %v", w0, w1)
+	}
+}
+
+// TestBarrierWaitZeroOnSizeOneWorld checks that a single rank, always
+// the last arrival, never parks and so records no wait at all.
+func TestBarrierWaitZeroOnSizeOneWorld(t *testing.T) {
+	w, _ := NewWorld(1)
+	err := w.Run(func(c *Comm) {
+		for i := 0; i < 100; i++ {
+			c.Barrier()
+			c.AllReduceFloat64(1, OpSum)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := w.Stats()
+	if s.BarrierEntries != 300 {
+		t.Fatalf("barrier entries = %d, want 300", s.BarrierEntries)
+	}
+	if s.BarrierWait != 0 {
+		t.Fatalf("size-1 world recorded barrier wait %v, want 0", s.BarrierWait)
+	}
+}

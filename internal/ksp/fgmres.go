@@ -1,17 +1,13 @@
 package ksp
 
-import (
-	"math"
-
-	"repro/internal/sparse"
-)
+import "math"
 
 // solveFGMRES is flexible GMRES(m): right-preconditioned with the
 // preconditioned directions stored, so the preconditioner may change
 // between iterations (e.g. an inner iterative solve). Convergence is
 // tested on the true residual norm, which right preconditioning makes
-// directly available. Like GMRES, the MGS recurrence is sequentially
-// dependent, so only the workspace is hoisted — no reduction fusion.
+// directly available. Orthogonalization is GMRES's classical
+// Gram–Schmidt step (arnoldiStep): two collectives per iteration.
 func (k *KSP) solveFGMRES(b, x []float64) error {
 	n := len(x)
 	m := k.restart
@@ -56,21 +52,7 @@ func (k *KSP) solveFGMRES(b, x []float64) error {
 			// z_j = M⁻¹ v_j ; w = A z_j
 			k.pc.Apply(z[j], v[j])
 			k.a.Apply(w, z[j])
-			for i := 0; i <= j; i++ {
-				h[i][j] = k.dot(w, v[i])
-				sparse.Axpy(-h[i][j], v[i], w)
-			}
-			h[j+1][j] = k.norm2(w)
-			if h[j+1][j] > 1e-300 {
-				inv := 1 / h[j+1][j]
-				for i := range w {
-					v[j+1][i] = w[i] * inv
-				}
-			} else {
-				for i := range v[j+1] {
-					v[j+1][i] = 0
-				}
-			}
+			k.arnoldiStep(w, v, h, j)
 			for i := 0; i < j; i++ {
 				hij := h[i][j]
 				h[i][j] = cs[i]*hij + sn[i]*h[i+1][j]

@@ -6,12 +6,11 @@ import (
 	"repro/internal/sparse"
 )
 
-// solveGMRES is restarted, left-preconditioned GMRES(m) with modified
+// solveGMRES is restarted, left-preconditioned GMRES(m) with classical
 // Gram–Schmidt orthogonalization and Givens-rotation least squares.
 // Convergence is tested on the preconditioned residual norm, as in
-// PETSc's default GMRES convergence test. The MGS dots are sequentially
-// dependent (each orthogonalization step reads the previous Axpy), so no
-// reductions are fused here; the win is workspace reuse across solves.
+// PETSc's default GMRES convergence test. Each iteration makes two
+// collectives (see arnoldiStep), independent of m.
 func (k *KSP) solveGMRES(b, x []float64) error {
 	n := len(x)
 	m := k.restart
@@ -58,24 +57,7 @@ func (k *KSP) solveGMRES(b, x []float64) error {
 			// w = M⁻¹ A v_j
 			k.a.Apply(t, v[j])
 			k.pc.Apply(w, t)
-			// Modified Gram–Schmidt.
-			for i := 0; i <= j; i++ {
-				h[i][j] = k.dot(w, v[i])
-				sparse.Axpy(-h[i][j], v[i], w)
-			}
-			h[j+1][j] = k.norm2(w)
-			if h[j+1][j] > 1e-300 {
-				inv := 1 / h[j+1][j]
-				for i := range w {
-					v[j+1][i] = w[i] * inv
-				}
-			} else {
-				// Breakdown: leave a deterministic zero direction rather
-				// than whatever a previous restart or solve left behind.
-				for i := range v[j+1] {
-					v[j+1][i] = 0
-				}
-			}
+			k.arnoldiStep(w, v, h, j)
 			// Apply existing Givens rotations to the new column.
 			for i := 0; i < j; i++ {
 				hij := h[i][j]
@@ -96,6 +78,34 @@ func (k *KSP) solveGMRES(b, x []float64) error {
 			}
 		}
 		k.updateSolution(x, v, h, g, j)
+	}
+}
+
+// arnoldiStep completes column j of the Arnoldi process: one classical
+// Gram–Schmidt pass of w against v[0..j] — PETSc's default GMRES
+// orthogonalization, refinement "never" — then v[j+1] = w/‖w‖. The j+1
+// projections are one multi-column local dot and one fused AllReduce,
+// so the step costs two collectives (projections, norm) for any j.
+// Column j of h receives the projections and the subdiagonal norm.
+func (k *KSP) arnoldiStep(w []float64, v, h [][]float64, j int) {
+	basis := v[:j+1]
+	hj := k.fusedMDot(w, basis)
+	sparse.MAXPY(hj, basis, w)
+	for i, x := range hj {
+		h[i][j] = x
+	}
+	h[j+1][j] = k.norm2(w)
+	if h[j+1][j] > 1e-300 {
+		inv := 1 / h[j+1][j]
+		for i := range w {
+			v[j+1][i] = w[i] * inv
+		}
+	} else {
+		// Breakdown: leave a deterministic zero direction rather than
+		// whatever a previous restart or solve left behind.
+		for i := range v[j+1] {
+			v[j+1][i] = 0
+		}
 	}
 }
 

@@ -350,8 +350,9 @@ func (k *KSP) norm2(x []float64) float64 {
 // of the vector length alone, folded in slot order — bitwise-identical
 // for every worker count), without one they are exactly sparse.Dot and
 // sparse.Norm2. Every global reduction in this package — dot, norm2,
-// and the fused* helpers — funnels through them, so the rank-order
-// fold audited in docs/PERFORMANCE.md is unchanged.
+// the fused* helpers and the Gram–Schmidt projections (lMDot) — funnels
+// through them, so the rank-order fold audited in docs/PERFORMANCE.md
+// is unchanged.
 func (k *KSP) lDot(x, y []float64) float64 {
 	if k.pool != nil {
 		return k.pool.Dot(x, y)
@@ -364,4 +365,18 @@ func (k *KSP) lNorm2(x []float64) float64 {
 		return k.pool.Norm2(x)
 	}
 	return sparse.Norm2(x)
+}
+
+// lMDot is the multi-column lDot, h[i] = x·v[i]. Pooled, it is one
+// pool.Dot per column (the fixed-slot fold, so the worker-count
+// contract is pool.Dot's own); serial, it is sparse.MDot, bitwise equal
+// to sparse.Dot column by column.
+func (k *KSP) lMDot(x []float64, v [][]float64, h []float64) {
+	if k.pool == nil {
+		sparse.MDot(x, v, h)
+		return
+	}
+	for i := range v {
+		h[i] = k.pool.Dot(x, v[i])
+	}
 }

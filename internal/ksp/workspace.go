@@ -20,6 +20,7 @@ type solveWorkspace struct {
 	z              [][]float64 // flexible (FGMRES) directions; built lazily
 	h              [][]float64
 	g, cs, sn, y   []float64
+	hj             []float64 // one Gram–Schmidt pass's projections, staged for its AllReduce
 
 	red [2]float64 // staging for fused reductions
 }
@@ -41,8 +42,9 @@ func (k *KSP) wsVecs(n, count int) [][]float64 {
 
 // wsKrylov sizes the restarted-GMRES workspace for local size n and
 // restart m: basis v (m+1 vectors), Hessenberg h ((m+1)×m), least-squares
-// rhs g, Givens cs/sn and back-substitution y. With flexible set, the
-// stored preconditioned directions z (m vectors) are built too.
+// rhs g, Givens cs/sn, back-substitution y and the Gram–Schmidt
+// projection staging hj (m+1). With flexible set, the stored
+// preconditioned directions z (m vectors) are built too.
 func (k *KSP) wsKrylov(n, m int, flexible bool) *solveWorkspace {
 	ws := &k.ws
 	if ws.basisN != n || ws.basisM != m {
@@ -58,6 +60,7 @@ func (k *KSP) wsKrylov(n, m int, flexible bool) *solveWorkspace {
 		ws.cs = make([]float64, m)
 		ws.sn = make([]float64, m)
 		ws.y = make([]float64, m)
+		ws.hj = make([]float64, m+1)
 		ws.z = nil
 		ws.basisN, ws.basisM = n, m
 	}
@@ -90,4 +93,16 @@ func (k *KSP) fusedDot2(a1, b1, a2, b2 []float64) (float64, float64) {
 	k.ws.red[1] = k.lDot(a2, b2)
 	k.c.AllReduceFloat64sInPlace(k.ws.red[:], comm.OpSum)
 	return k.ws.red[0], k.ws.red[1]
+}
+
+// fusedMDot returns the projections x·v[i] for every column of v with
+// one AllReduce of a len(v)-element vector, staged in the workspace.
+// Each element is bitwise identical to k.dot(x, v[i]): the dots of one
+// classical Gram–Schmidt pass are independent, so fusing them is
+// neutral.
+func (k *KSP) fusedMDot(x []float64, v [][]float64) []float64 {
+	h := k.ws.hj[:len(v)]
+	k.lMDot(x, v, h)
+	k.c.AllReduceFloat64sInPlace(h, comm.OpSum)
+	return h
 }

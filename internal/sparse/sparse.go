@@ -135,3 +135,61 @@ func Copy(dst, src []float64) {
 	checkDims("Copy", len(dst), len(src))
 	copy(dst, src)
 }
+
+// checkColumns panics unless v has one coefficient in h per column and
+// every column is as long as w.
+func checkColumns(op string, w []float64, v [][]float64, h []float64) {
+	checkDims(op, len(v), len(h))
+	for _, c := range v {
+		checkDims(op, len(w), len(c))
+	}
+}
+
+// MDot computes h[i] = w·v[i] for every column of v, the local half of a
+// classical Gram–Schmidt pass. It sweeps w once per group of four
+// columns with four independent accumulators; each column is still a
+// plain left-to-right sum, so h[i] is bitwise equal to Dot(w, v[i]).
+func MDot(w []float64, v [][]float64, h []float64) {
+	checkColumns("MDot", w, v, h)
+	n := len(w)
+	i := 0
+	for ; i+4 <= len(v); i += 4 {
+		v0, v1, v2, v3 := v[i][:n], v[i+1][:n], v[i+2][:n], v[i+3][:n]
+		var s0, s1, s2, s3 float64
+		for k, x := range w {
+			s0 += x * v0[k]
+			s1 += x * v1[k]
+			s2 += x * v2[k]
+			s3 += x * v3[k]
+		}
+		h[i], h[i+1], h[i+2], h[i+3] = s0, s1, s2, s3
+	}
+	for ; i < len(v); i++ {
+		h[i] = Dot(w, v[i])
+	}
+}
+
+// MAXPY computes w −= Σ h[i]·v[i], the update half of a classical
+// Gram–Schmidt pass. Each element receives the columns in index order
+// (w is swept once per group of four), so the result is bitwise equal to
+// calling Axpy(−h[i], v[i], w) for i = 0, 1, ….
+func MAXPY(h []float64, v [][]float64, w []float64) {
+	checkColumns("MAXPY", w, v, h)
+	n := len(w)
+	i := 0
+	for ; i+4 <= len(v); i += 4 {
+		a0, a1, a2, a3 := -h[i], -h[i+1], -h[i+2], -h[i+3]
+		v0, v1, v2, v3 := v[i][:n], v[i+1][:n], v[i+2][:n], v[i+3][:n]
+		for k := range w {
+			t := w[k]
+			t += a0 * v0[k]
+			t += a1 * v1[k]
+			t += a2 * v2[k]
+			t += a3 * v3[k]
+			w[k] = t
+		}
+	}
+	for ; i < len(v); i++ {
+		Axpy(-h[i], v[i], w)
+	}
+}

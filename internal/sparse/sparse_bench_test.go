@@ -186,3 +186,22 @@ func BenchmarkMSRConversion(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMDot times the local half of one classical Gram–Schmidt pass
+// at the paper problem's shape: 31 basis columns (GMRES(30)'s widest
+// step) of local length 20,000 (the n=200 operator split over 2 ranks).
+// Pinned at 0 allocs/op by scripts/benchguard.sh.
+func BenchmarkMDot(b *testing.B) {
+	const n, cols = 20000, 31
+	w := RandomVector(n, 1)
+	v := make([][]float64, cols)
+	for i := range v {
+		v[i] = RandomVector(n, int64(i)+2)
+	}
+	h := make([]float64, cols)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MDot(w, v, h)
+	}
+}

@@ -6,11 +6,12 @@
 #   scripts/benchguard.sh --update   # re-measure and rewrite the baseline
 #
 # The guarded set is a handful of *stable* kernels (sparse format
-# conversion, SpMV, telemetry hot path) rather than the full end-to-end
-# solves, whose wall-clock is too noisy for CI gating. A run fails when
-# any guarded benchmark regresses more than BENCH_THRESHOLD_PCT percent
-# (default 25) over the checked-in baseline. Baselines are machine
-# dependent: refresh with --update when the reference machine changes.
+# conversion, SpMV, the Gram–Schmidt multi-dot, telemetry hot path)
+# rather than the full end-to-end solves, whose wall-clock is too noisy
+# for CI gating. A run fails when any guarded benchmark regresses more
+# than BENCH_THRESHOLD_PCT percent (default 25) over the checked-in
+# baseline. Baselines are machine dependent: refresh with --update when
+# the reference machine changes.
 #
 # Benchmarks run with -benchmem, and each guarded benchmark also gets a
 # "<name>::allocs" baseline key gating its allocs/op: unlike ns/op,
@@ -38,7 +39,7 @@ PKGS=(
   "./internal/slu"
   "./internal/mesh"
 )
-PATTERN='^(BenchmarkCOOToCSR|BenchmarkTranspose|BenchmarkMSRConversion|BenchmarkSpMVFormats|BenchmarkFormatProbe|BenchmarkNilRecorderAdd|BenchmarkNilRecorderStartPhase|BenchmarkRecorderAdd|BenchmarkRecorderResidual|BenchmarkSessionReuseSolve|BenchmarkSolveSteadyState|BenchmarkApplyAllocs|BenchmarkServiceSolveReuse|BenchmarkApplyWorkers|BenchmarkTriSolveWorkers|BenchmarkFEMAssembly|BenchmarkReadMatrixMarket|BenchmarkMMIngestSetup)$'
+PATTERN='^(BenchmarkCOOToCSR|BenchmarkTranspose|BenchmarkMSRConversion|BenchmarkSpMVFormats|BenchmarkFormatProbe|BenchmarkNilRecorderAdd|BenchmarkNilRecorderStartPhase|BenchmarkRecorderAdd|BenchmarkRecorderResidual|BenchmarkSessionReuseSolve|BenchmarkSolveSteadyState|BenchmarkApplyAllocs|BenchmarkServiceSolveReuse|BenchmarkApplyWorkers|BenchmarkTriSolveWorkers|BenchmarkFEMAssembly|BenchmarkReadMatrixMarket|BenchmarkMMIngestSetup|BenchmarkMDot)$'
 
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT

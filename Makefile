@@ -94,11 +94,10 @@ golden:
 # testdata/fuzz/ replay in every plain `go test` run regardless).
 FUZZTIME ?= 10s
 fuzz:
-	for t in FuzzCSRFromTriplets FuzzNewCSRValidation FuzzSELLFromCSR FuzzBCSRFromCSR FuzzReadMatrixMarket FuzzMultiDot; do \
+	for t in FuzzCSRFromTriplets FuzzNewCSRValidation FuzzSELLFromCSR FuzzReadMatrixMarket FuzzMultiDot; do \
 		$(GO) test -run='^$$' -fuzz="^$$t\$$" -fuzztime=$(FUZZTIME) ./internal/sparse || exit 1; done
 	for t in FuzzPartition FuzzGenerateRows; do \
 		$(GO) test -run='^$$' -fuzz="^$$t\$$" -fuzztime=$(FUZZTIME) ./internal/mesh || exit 1; done
-	$(GO) test -run='^$$' -fuzz='^FuzzLevels$$' -fuzztime=$(FUZZTIME) ./internal/par
 
 clean:
 	rm -f telemetry.json out.json sweep.json sweep.md

@@ -66,7 +66,7 @@ func main() {
 	stat := flag.String("stat", "median", "aggregate repeated runs with \"median\" (robust) or \"mean\" (as the paper)")
 	timeout := flag.Duration("timeout", 0, "overall campaign deadline (0 = none); expiry exits with status 124")
 	workers := flag.Int("workers", 1, "intra-rank worker-pool size for the CCA measurements (results are bitwise-identical for any count)")
-	format := flag.String("format", "", "local SpMV storage format for the CCA measurements: auto, csr, msr, sell, or bcsr (empty = csr)")
+	format := flag.String("format", "", "local SpMV storage format for the CCA measurements: auto, csr, msr, or sell (empty = csr)")
 	telemetryOut := flag.String("telemetry", "", "write instrumented per-phase solve reports to this JSON file")
 	faultSpec := flag.String("fault-spec", "",
 		"arm this deterministic fault-injection schedule on every measurement world "+

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/par"
 	"repro/internal/sparse"
 )
 
@@ -25,68 +24,6 @@ type ILUT struct {
 	uCols []int
 	uVals []float64 // strict upper triangle
 	uDiag []float64
-
-	// Level-scheduled solve state (EnableLevels): both factors are
-	// row-oriented, so the level tasks run each row's exact serial
-	// gather — the parallel apply is bitwise-identical to the serial
-	// sweeps for any worker count.
-	pool       *par.Pool
-	lvlF, lvlB *par.Levels
-	fwd, bwd   ilutSweepTask
-}
-
-// EnableLevels attaches an intra-rank worker pool to the triangular
-// sweeps, building the level-set schedules on first parallel use.
-// Idempotent; nil (or a 1-worker pool) keeps the serial sweeps.
-func (f *ILUT) EnableLevels(p *par.Pool) {
-	f.pool = p
-	if !p.Parallel() || f.lvlF != nil {
-		return
-	}
-	f.lvlF = par.LowerLevels(f.n, func(i int, visit func(j int)) {
-		for k := f.lPtr[i]; k < f.lPtr[i+1]; k++ {
-			visit(f.lCols[k])
-		}
-	})
-	f.lvlB = par.UpperLevels(f.n, func(i int, visit func(j int)) {
-		for k := f.uPtr[i]; k < f.uPtr[i+1]; k++ {
-			visit(f.uCols[k])
-		}
-	})
-	f.fwd = ilutSweepTask{f: f}
-	f.bwd = ilutSweepTask{f: f, back: true}
-}
-
-// ilutSweepTask applies one level's rows; rows of a level are
-// structurally independent and each writes only its own z slot.
-type ilutSweepTask struct {
-	f    *ILUT
-	rows []int
-	z, r []float64
-	back bool
-}
-
-func (t *ilutSweepTask) Range(_, lo, hi int) {
-	f := t.f
-	if t.back {
-		for q := lo; q < hi; q++ {
-			i := t.rows[q]
-			s := t.z[i]
-			for p := f.uPtr[i]; p < f.uPtr[i+1]; p++ {
-				s -= f.uVals[p] * t.z[f.uCols[p]]
-			}
-			t.z[i] = s / f.uDiag[i]
-		}
-		return
-	}
-	for q := lo; q < hi; q++ {
-		i := t.rows[q]
-		s := t.r[i]
-		for p := f.lPtr[i]; p < f.lPtr[i+1]; p++ {
-			s -= f.lVals[p] * t.z[f.lCols[p]]
-		}
-		t.z[i] = s
-	}
 }
 
 type intHeap []int
@@ -254,10 +191,6 @@ func (f *ILUT) Solve(z, r []float64) {
 	if len(z) != f.n || len(r) != f.n {
 		panic(fmt.Sprintf("aztec: ILUT.Solve: vectors must have length %d", f.n))
 	}
-	if f.pool.Parallel() {
-		f.solveLevels(z, r)
-		return
-	}
 	for i := 0; i < f.n; i++ {
 		s := r[i]
 		for p := f.lPtr[i]; p < f.lPtr[i+1]; p++ {
@@ -272,23 +205,6 @@ func (f *ILUT) Solve(z, r []float64) {
 		}
 		z[i] = s / f.uDiag[i]
 	}
-}
-
-// solveLevels runs the sweeps level by level, fanning each level's rows
-// across the pool. z and r may alias exactly as in the serial sweeps.
-func (f *ILUT) solveLevels(z, r []float64) {
-	f.fwd.z, f.fwd.r = z, r
-	for l := 0; l < f.lvlF.NumLevels(); l++ {
-		f.fwd.rows = f.lvlF.Level(l)
-		f.pool.Run(len(f.fwd.rows), &f.fwd)
-	}
-	f.fwd.z, f.fwd.r, f.fwd.rows = nil, nil, nil
-	f.bwd.z = z
-	for l := 0; l < f.lvlB.NumLevels(); l++ {
-		f.bwd.rows = f.lvlB.Level(l)
-		f.pool.Run(len(f.bwd.rows), &f.bwd)
-	}
-	f.bwd.z, f.bwd.rows = nil, nil
 }
 
 // NNZ returns the stored entry count of both factors (plus diagonal).

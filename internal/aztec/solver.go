@@ -39,22 +39,18 @@ type Solver struct {
 	ws         azWorkspace
 
 	// pool is the intra-rank worker pool (nil = legacy serial path):
-	// local reduction halves route through its fixed-slot fold, the
-	// distributed product of a CrsMatrix row-partitions across it, and
-	// pool-aware preconditioners inherit it for level-scheduled sweeps.
+	// local reduction halves route through its fixed-slot fold, and the
+	// distributed product of a CrsMatrix row-partitions across it.
 	pool *par.Pool
 }
 
 // SetPool attaches an intra-rank worker pool (nil restores the serial
 // path). The pool is caller-owned. Idempotent; call after the matrix is
-// set so the distributed product and a cached preconditioner pick it up.
+// set so the distributed product picks it up.
 func (s *Solver) SetPool(p *par.Pool) {
 	s.pool = p
 	if cm, ok := s.rm.(*CrsMatrix); ok && cm != nil && cm.Dist() != nil {
 		cm.Dist().SetPool(p)
-	}
-	if pa, ok := s.prec.(poolAware); ok {
-		pa.setPool(p)
 	}
 }
 
@@ -247,9 +243,6 @@ func (s *Solver) Solve(x, b []float64) error {
 			return err
 		}
 		s.prec = prec
-		if pa, ok := prec.(poolAware); ok {
-			pa.setPool(s.pool)
-		}
 		s.precOpts = append(s.precOpts[:0], s.options...)
 		s.precParams = append(s.precParams[:0], s.params...)
 	}

@@ -444,7 +444,7 @@ func validWorkers(value string) bool {
 }
 
 // validFormat reports whether value is an acceptable "format"
-// parameter (auto, csr, msr, sell, bcsr).
+// parameter (auto, csr, msr, sell).
 func validFormat(value string) bool {
 	_, err := sparse.ParseFormatChoice(value)
 	return err == nil

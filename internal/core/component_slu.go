@@ -64,6 +64,8 @@ func (sc *SLUComponent) Set(key, value string) int {
 			return ErrBadArg
 		}
 	case key == "workers":
+		// Accepted for seamless component swapping; the triangular
+		// solves are serial sweeps, so no worker pool is built.
 		if !validWorkers(value) {
 			return ErrBadArg
 		}
@@ -164,7 +166,6 @@ func (sc *SLUComponent) Solve(solution []float64, status []float64, numLocalRow,
 		sc.factorizations++
 	}
 	sc.dist.SetRecorder(sc.rec)
-	sc.dist.SetPool(sc.workerPool())
 	sc.recordFormat(sc.dist.SetFormat(sc.formatChoice()))
 
 	refineSteps := 0
@@ -181,7 +182,6 @@ func (sc *SLUComponent) Solve(solution []float64, status []float64, numLocalRow,
 		}
 		lastRes = res
 	}
-	sc.recordPoolStats()
 	writeStatus(status, statusLength, 0, lastRes, true, sc.factorizations, FailNone)
 	return OK
 }

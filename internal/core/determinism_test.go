@@ -193,7 +193,7 @@ func TestSolveBitwiseDeterministicAcrossWorkers(t *testing.T) {
 // TestSolveBitwiseDeterministicAcrossFormats extends the contract to
 // the SpMV format knob: for every backend config, Session.Solve must
 // produce byte-identical residual histories and solution vectors for
-// every format ∈ {csr, auto, msr, sell, bcsr} crossed with serial and
+// every format ∈ {csr, auto, msr, sell} crossed with serial and
 // pooled execution. This is what lets the autotuner bind whatever wins
 // the probe — per rank, per matrix — without any reproducibility cost.
 func TestSolveBitwiseDeterministicAcrossFormats(t *testing.T) {
@@ -201,7 +201,7 @@ func TestSolveBitwiseDeterministicAcrossFormats(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			run(t, 1, func(c *comm.Comm) {
 				ref := solveConfigured(t, c, tc.backend, tc.sys, tc.params, 1, "csr")
-				for _, format := range []string{"auto", "msr", "sell", "bcsr"} {
+				for _, format := range []string{"auto", "msr", "sell"} {
 					for _, w := range []int{1, 4} {
 						got := solveConfigured(t, c, tc.backend, tc.sys, tc.params, w, format)
 						if len(got.residuals) != len(ref.residuals) {

@@ -37,7 +37,7 @@ type SessionOptions struct {
 
 	// Format requests a local SpMV storage format for the backend's
 	// distributed products: "auto" (probe at setup), "csr" (the legacy
-	// default), "msr", "sell", or "bcsr". Empty defers to the
+	// default), "msr", or "sell". Empty defers to the
 	// LISI_FORMAT environment variable and, when that is unset too,
 	// leaves the backend on CSR. Every format is bitwise-identical to
 	// CSR (see docs/PERFORMANCE.md). An explicit Params["format"] wins

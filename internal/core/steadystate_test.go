@@ -115,7 +115,7 @@ func TestSessionSolveSteadyStateAllocsFormats(t *testing.T) {
 			"solver": "bicgstab", "preconditioner": "jacobi", "tol": "1e-8"}},
 		{"mg", "mg", 15, false, map[string]string{"grid_n": "15", "tol": "1e-8"}},
 	} {
-		for _, format := range []string{"auto", "msr", "sell", "bcsr"} {
+		for _, format := range []string{"auto", "msr", "sell"} {
 			t.Run(tc.name+"/"+format, func(t *testing.T) {
 				run(t, 1, func(c *comm.Comm) {
 					p := mesh.PaperProblem(tc.gridN)

@@ -220,7 +220,7 @@ func TestGoldenConformance(t *testing.T) {
 
 	got := map[string]string{}
 	workerCounts := []int{1, 4}
-	formats := []string{"csr", "sell", "bcsr"}
+	formats := []string{"csr", "sell", "msr"}
 	for _, fam := range goldenFamilies() {
 		for _, be := range fam.backends {
 			key := fam.name + "/" + be.name

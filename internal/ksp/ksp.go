@@ -107,21 +107,18 @@ type KSP struct {
 
 	// pool is the intra-rank worker pool (nil = legacy serial path):
 	// the local halves of all reductions route through its fixed-slot
-	// fold, and pool-aware PCs inherit it for level-scheduled sweeps.
+	// fold, and the assembled operator's product row-partitions on it.
 	pool *par.Pool
 }
 
 // SetPool attaches an intra-rank worker pool (nil restores the serial
-// path). The pool is caller-owned; call after SetOperators/SetPC so the
-// assembled operator's distributed product and a pool-aware PC inherit
-// it before SetUp. Idempotent, safe to call every solve.
+// path). The pool is caller-owned; call after SetOperators so the
+// assembled operator's distributed product inherits it. Idempotent,
+// safe to call every solve.
 func (k *KSP) SetPool(p *par.Pool) {
 	k.pool = p
 	if k.a != nil && k.a.pm != nil {
 		k.a.pm.SetPool(p)
-	}
-	if pa, ok := k.pc.(poolAware); ok {
-		pa.setPool(p)
 	}
 }
 

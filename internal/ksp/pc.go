@@ -3,7 +3,6 @@ package ksp
 import (
 	"fmt"
 
-	"repro/internal/par"
 	"repro/internal/sparse"
 )
 
@@ -85,30 +84,15 @@ func (p *pcJacobi) Apply(z, r []float64) {
 	}
 }
 
-// poolAware is implemented by preconditioners whose apply can use the
-// intra-rank worker pool; KSP.SetPool hands the pool down before SetUp
-// so level-set schedules are built with the factorization.
-type poolAware interface {
-	setPool(p *par.Pool)
-}
-
 // pcBlockILU is processor-block Jacobi with an ILU(0) factorization of
 // each rank's diagonal block — PETSc's default parallel preconditioner
 // (bjacobi + ilu).
 type pcBlockILU struct {
 	name string
 	f    *ILU0
-	pool *par.Pool
 }
 
 func (p *pcBlockILU) Type() string { return p.name }
-
-func (p *pcBlockILU) setPool(pl *par.Pool) {
-	p.pool = pl
-	if p.f != nil {
-		p.f.EnableLevels(pl)
-	}
-}
 
 func (p *pcBlockILU) SetUp(a *Mat) error {
 	blk, err := a.DiagBlock()
@@ -120,7 +104,6 @@ func (p *pcBlockILU) SetUp(a *Mat) error {
 		return fmt.Errorf("ksp: %s: %w", p.name, err)
 	}
 	p.f = f
-	f.EnableLevels(p.pool)
 	return nil
 }
 

@@ -1,19 +1,19 @@
 // Package par is the intra-rank parallelism layer: a deterministic
 // worker pool (the second parallelism level under internal/comm, per
-// ROADMAP item 2 and ShyLU-node's on-node solver design), fixed-slot
-// partial reductions, and a level-set scheduler for sparse triangular
-// solves.
+// ShyLU-node's on-node solver design) and fixed-slot partial
+// reductions. Sparse triangular solves do not run on a Pool: the
+// dependency levels of the repository's factors are too narrow to
+// repay a dispatch per level (docs/PERFORMANCE.md).
 //
 // Determinism contract (docs/PERFORMANCE.md "Two-level parallelism"):
 // every kernel dispatched on a Pool must produce bitwise-identical
 // results for any worker count, including 1. Two mechanisms deliver
 // that:
 //
-//   - Row-partitioned kernels (SpMV, level-scheduled triangular solves,
-//     element-wise smoother updates) perform each output element's
-//     arithmetic in the same sequence regardless of which worker runs
-//     the row, so any static partition is bitwise-neutral by
-//     construction.
+//   - Row-partitioned kernels (SpMV, element-wise smoother updates)
+//     perform each output element's arithmetic in the same sequence
+//     regardless of which worker runs the row, so any static partition
+//     is bitwise-neutral by construction.
 //
 //   - Reductions (Dot, Norm2) accumulate into fixed slots whose layout
 //     depends only on the vector length — never on the worker count —

@@ -211,72 +211,3 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state dispatch allocates: %v allocs/op (sink %v)", allocs, sink)
 	}
 }
-
-func TestLevelsLowerChainAndDiag(t *testing.T) {
-	// Rows: 0 and 1 independent; 2 depends on 1; 3 depends on 2 and 0.
-	deps := [][]int{nil, nil, {1}, {0, 2}}
-	lv := par.LowerLevels(4, func(i int, visit func(int)) {
-		for _, j := range deps[i] {
-			visit(j)
-		}
-	})
-	wantOrder := []int{0, 1, 2, 3}
-	wantPtr := []int{0, 2, 3, 4}
-	if len(lv.Order) != 4 || len(lv.Ptr) != 4 {
-		t.Fatalf("levels: order %v ptr %v", lv.Order, lv.Ptr)
-	}
-	for i := range wantOrder {
-		if lv.Order[i] != wantOrder[i] {
-			t.Fatalf("order %v, want %v", lv.Order, wantOrder)
-		}
-	}
-	for i := range wantPtr {
-		if lv.Ptr[i] != wantPtr[i] {
-			t.Fatalf("ptr %v, want %v", lv.Ptr, wantPtr)
-		}
-	}
-	// A diagonal (no deps at all) collapses to a single level.
-	diag := par.LowerLevels(6, func(int, func(int)) {})
-	if diag.NumLevels() != 1 || len(diag.Level(0)) != 6 {
-		t.Fatalf("diagonal levels: %v / %v", diag.Ptr, diag.Order)
-	}
-}
-
-func TestLevelsUpperChain(t *testing.T) {
-	// Backward solve: row i depends on i+1 (a full bidiagonal) → n levels,
-	// scheduled n-1 first.
-	n := 5
-	lv := par.UpperLevels(n, func(i int, visit func(int)) {
-		visit(i + 1)
-	})
-	if lv.NumLevels() != n {
-		t.Fatalf("want %d levels, got %d (ptr %v)", n, lv.NumLevels(), lv.Ptr)
-	}
-	for l := 0; l < n; l++ {
-		rows := lv.Level(l)
-		if len(rows) != 1 || rows[0] != n-1-l {
-			t.Fatalf("level %d = %v, want [%d]", l, rows, n-1-l)
-		}
-	}
-}
-
-func TestLevelsIgnoreOutOfDirectionVisits(t *testing.T) {
-	// depsOf may pass a row's full pattern; only j < i counts for lower,
-	// only j > i for upper.
-	lv := par.LowerLevels(3, func(i int, visit func(int)) {
-		visit(i) // self
-		visit(i + 1)
-		visit(-1)
-	})
-	if lv.NumLevels() != 1 {
-		t.Fatalf("lower levels with no true deps: %v", lv.Ptr)
-	}
-	uv := par.UpperLevels(3, func(i int, visit func(int)) {
-		visit(i)
-		visit(i - 1)
-		visit(99)
-	})
-	if uv.NumLevels() != 1 {
-		t.Fatalf("upper levels with no true deps: %v", uv.Ptr)
-	}
-}

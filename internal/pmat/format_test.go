@@ -9,16 +9,12 @@ import (
 	"repro/internal/sparse"
 )
 
-// formatChoices are the selections SetFormat must handle; ChoiceVBR is
-// reachable only through the auto probe but must still bind correctly
-// when asked for directly.
+// formatChoices are the selections SetFormat must handle.
 var formatChoices = []sparse.FormatChoice{
 	sparse.ChoiceCSR,
 	sparse.ChoiceAuto,
 	sparse.ChoiceMSR,
 	sparse.ChoiceSELL,
-	sparse.ChoiceBCSR,
-	sparse.ChoiceVBR,
 }
 
 // TestSetFormatBitwiseAcrossFormats checks the load-bearing contract of
@@ -72,10 +68,9 @@ func TestSetFormatBitwiseAcrossFormats(t *testing.T) {
 	}
 }
 
-// TestSetFormatFallbacks pins the structure-gated bindings: a forced MSR
+// TestSetFormatFallbacks pins the structure-gated binding: a forced MSR
 // falls back to CSR on the (rectangular or empty) boundary block while
-// landing on the square interior, and a forced VBR falls back to CSR
-// when no uniform block structure exists.
+// landing on the square interior.
 func TestSetFormatFallbacks(t *testing.T) {
 	run(t, 2, func(c *comm.Comm) {
 		_, m := distribute(c, sparse.Laplace2D(6, 6))
@@ -88,10 +83,6 @@ func TestSetFormatFallbacks(t *testing.T) {
 		}
 		if info.Probed || info.ProbeNS != 0 {
 			t.Fatalf("forced choice reported probing: %+v", info)
-		}
-		info, _ = m.SetFormat(sparse.ChoiceVBR)
-		if info.Interior != sparse.FmtCSR {
-			t.Fatalf("VBR on a stencil bound %v, want CSR fallback", info.Interior)
 		}
 		info, _ = m.SetFormat(sparse.ChoiceSELL)
 		if info.Interior != sparse.FmtSELL || info.Boundary != sparse.FmtSELL {

@@ -157,21 +157,11 @@ func bindKernel(k *sparse.ParSpMV, a *sparse.CSR, add bool, fc sparse.FormatChoi
 	case sparse.ChoiceSELL:
 		k.BindSELL(sparse.SELLFromCSR(a, sparse.TunedSELLChunk(a.Rows, workers)), add, workers)
 		return sparse.FmtSELL
-	case sparse.ChoiceBCSR:
-		k.BindBCSR(sparse.BCSRFromCSR(a, 0), add)
-		return sparse.FmtBCSR
 	case sparse.ChoiceMSR:
 		if a.Rows == a.Cols {
 			if msr, split, err := sparse.MSROrderedFromCSR(a); err == nil {
 				k.BindMSROrdered(msr, split, add)
 				return sparse.FmtMSR
-			}
-		}
-	case sparse.ChoiceVBR:
-		if b, ok := sparse.UniformBlocks(a); ok {
-			if v, err := sparse.VBRFromCSR(a, sparse.EvenPartition(a.Rows, b), sparse.EvenPartition(a.Cols, b)); err == nil {
-				k.BindVBR(v, add)
-				return sparse.FmtVBR
 			}
 		}
 	}

@@ -152,8 +152,8 @@ type SolveRequest struct {
 	// performance knob; it is part of the session-pool key.
 	Workers int `json:"workers,omitempty"`
 	// Format selects the local SpMV storage format for the backend's
-	// distributed products: "auto" (probe at setup), "csr", "msr",
-	// "sell", or "bcsr"; empty takes the server's -format flag
+	// distributed products: "auto" (probe at setup), "csr", "msr", or
+	// "sell"; empty takes the server's -format flag
 	// (normally csr). Every format is bitwise-identical to CSR, so this
 	// is a pure performance knob; it is part of the session-pool key.
 	Format string `json:"format,omitempty"`

@@ -340,6 +340,7 @@ func TestServiceTypedValidation(t *testing.T) {
 		{"bad failover", func(r *service.SolveRequest) { r.Failover = []string{"nope"} }, service.CodeUnknownBackend, 400},
 		{"procs too big", func(r *service.SolveRequest) { r.Procs = 512 }, service.CodeBadRequest, 400},
 		{"bad format", func(r *service.SolveRequest) { r.Format = "ellpack" }, service.CodeBadRequest, 400},
+		{"deleted format", func(r *service.SolveRequest) { r.Format = "bcsr" }, service.CodeBadRequest, 400},
 		{"no operator id", func(r *service.SolveRequest) { r.Operator.ID = "" }, service.CodeBadRequest, 400},
 		{"operator body missing", func(r *service.SolveRequest) { r.Operator.GridN = 0 }, service.CodeOperatorMissing, 409},
 		{"nrhs too big", func(r *service.SolveRequest) { r.NRHS = 10000 }, service.CodeBadRequest, 400},
@@ -387,7 +388,7 @@ func TestServiceFormatPoolKey(t *testing.T) {
 	if !again.SessionReused {
 		t.Fatal("same-format repeat should hit the pooled session")
 	}
-	other := solve("bcsr")
+	other := solve("msr")
 	if other.SessionReused {
 		t.Fatal("a different format must not reuse the pooled session")
 	}

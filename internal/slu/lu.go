@@ -49,10 +49,6 @@ type LU struct {
 	// Lazily allocated scratch so repeated SolveInto/Refine calls do not
 	// allocate (steady-state reuse; see docs/PERFORMANCE.md).
 	workC, workR, workDx []float64
-
-	// ls holds the level-scheduled parallel triangular-solve state
-	// (EnableLevels); nil or an unpooled ls keeps the serial sweeps.
-	ls *levelSolve
 }
 
 // N returns the order of the factored matrix.

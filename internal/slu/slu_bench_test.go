@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/par"
 	"repro/internal/sparse"
 )
 
@@ -60,44 +59,6 @@ func BenchmarkOrderingAlgorithms(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := ComputeOrdering(a, ord); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTriSolveWorkers measures the level-scheduled triangular
-// solves against the serial column sweeps on one factorization. w=1
-// must stay within noise of the serial sweeps and every variant must
-// stay allocation-free per solve — scripts/benchguard.sh gates the
-// allocs/op of every sub-benchmark at zero.
-func BenchmarkTriSolveWorkers(b *testing.B) {
-	a := sparse.Laplace2D(60, 60) // n = 3,600
-	rhs := sparse.RandomVector(a.Rows, 1)
-	x := make([]float64, a.Rows)
-	for _, workers := range []int{0, 1, 4} {
-		name := "serial"
-		if workers > 0 {
-			name = fmt.Sprintf("w=%d", workers)
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			f, err := Factor(a, DefaultOptions())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if workers > 0 {
-				p := par.New(workers)
-				defer p.Close()
-				f.EnableLevels(p)
-			}
-			if err := f.SolveInto(x, rhs); err != nil { // build scratch outside the timer
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := f.SolveInto(x, rhs); err != nil {
 					b.Fatal(err)
 				}
 			}

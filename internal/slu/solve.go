@@ -95,10 +95,6 @@ func (f *LU) SolveMulti(bs [][]float64) ([][]float64, error) {
 
 // lSolve solves L·w = c in place (column-oriented, unit diagonal first).
 func (f *LU) lSolve(c []float64) {
-	if f.ls != nil && f.ls.pool.Parallel() {
-		f.ls.lSolve(c)
-		return
-	}
 	for k := 0; k < f.n; k++ {
 		xk := c[k]
 		if xk == 0 {
@@ -112,10 +108,6 @@ func (f *LU) lSolve(c []float64) {
 
 // uSolve solves U·z = c in place (column-oriented, diagonal last).
 func (f *LU) uSolve(c []float64) {
-	if f.ls != nil && f.ls.pool.Parallel() {
-		f.ls.uSolve(c)
-		return
-	}
 	for k := f.n - 1; k >= 0; k-- {
 		dp := f.uPtr[k+1] - 1 // diagonal entry position
 		zk := c[k] / f.uVals[dp]

@@ -13,17 +13,12 @@ import (
 // before.
 type FormatChoice int
 
-// Format choices. ChoiceVBR has no forced spelling in the parameter
-// vocabulary — VBR enters only through the auto probe, and only for
-// matrices whose uniform perfect-fill block structure makes the VBR
-// kernel bit-exact (see UniformBlocks).
+// Format choices.
 const (
 	ChoiceCSR  FormatChoice = iota // legacy CSR kernels (default)
 	ChoiceAuto                     // probe the candidates at Setup, bind the winner
 	ChoiceMSR                      // order-exact MSR kernel
 	ChoiceSELL                     // SELL-C-σ
-	ChoiceBCSR                     // cache-blocked CSR
-	ChoiceVBR                      // variable block row (auto-probe only)
 )
 
 // ParseFormatChoice maps a "format" parameter value to its choice.
@@ -37,10 +32,8 @@ func ParseFormatChoice(s string) (FormatChoice, error) {
 		return ChoiceMSR, nil
 	case "sell":
 		return ChoiceSELL, nil
-	case "bcsr":
-		return ChoiceBCSR, nil
 	}
-	return ChoiceCSR, fmt.Errorf("sparse: unknown format %q (want auto|csr|msr|sell|bcsr)", s)
+	return ChoiceCSR, fmt.Errorf("sparse: unknown format %q (want auto|csr|msr|sell)", s)
 }
 
 // String returns the parameter spelling of the choice.
@@ -54,10 +47,6 @@ func (c FormatChoice) String() string {
 		return "msr"
 	case ChoiceSELL:
 		return "sell"
-	case ChoiceBCSR:
-		return "bcsr"
-	case ChoiceVBR:
-		return "vbr"
 	}
 	return fmt.Sprintf("FormatChoice(%d)", int(c))
 }
@@ -96,11 +85,10 @@ type ProbeResult struct {
 }
 
 // ProbeFormats times the candidate kernels on the actual operand and
-// returns the winner: CSR, SELL-C-σ, cache-blocked CSR, the
-// order-exact MSR kernel (square matrices), and VBR (only under the
-// UniformBlocks perfect-fill condition). Products run through the same
-// pooled ParSpMV path the steady state uses, in add mode when add is
-// set, so the measurement matches the bound kernel. Ties and
+// returns the winner: CSR, SELL-C-σ, and the order-exact MSR kernel
+// (square matrices). Products run through the same pooled ParSpMV path
+// the steady state uses, in add mode when add is set, so the
+// measurement matches the bound kernel. Ties and
 // probe-noise margins go to CSR: a candidate must beat CSR strictly to
 // win, so auto never regresses the legacy path beyond noise.
 func ProbeFormats(a *CSR, add bool, p *par.Pool) ProbeResult {
@@ -150,23 +138,15 @@ func ProbeFormats(a *CSR, add bool, p *par.Pool) ProbeResult {
 	}
 
 	// Fixed candidate order: CSR first (the incumbent), then the
-	// challengers, then the structure-gated candidates.
+	// challengers.
 	t.BindCSR(a, add)
 	record(FmtCSR, ChoiceCSR)
 	t.BindSELL(SELLFromCSR(a, TunedSELLChunk(a.Rows, workers)), add, workers)
 	record(FmtSELL, ChoiceSELL)
-	t.BindBCSR(BCSRFromCSR(a, 0), add)
-	record(FmtBCSR, ChoiceBCSR)
 	if a.Rows == a.Cols {
 		if m, split, err := MSROrderedFromCSR(a); err == nil {
 			t.BindMSROrdered(m, split, add)
 			record(FmtMSR, ChoiceMSR)
-		}
-	}
-	if b, ok := UniformBlocks(a); ok {
-		if v, err := VBRFromCSR(a, EvenPartition(a.Rows, b), EvenPartition(a.Cols, b)); err == nil {
-			t.BindVBR(v, add)
-			record(FmtVBR, ChoiceVBR)
 		}
 	}
 	res.TotalNS = time.Since(start).Nanoseconds()

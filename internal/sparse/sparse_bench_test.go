@@ -12,7 +12,7 @@ import (
 func benchOperator(n int) *CSR { return Laplace2D(n, n) }
 
 // benchBlockMatrix builds a block-tridiagonal matrix of fully dense
-// 3×3 blocks — the perfect-fill structure that enrolls VBR.
+// 3×3 blocks.
 func benchBlockMatrix(blockRows int) *CSR {
 	coo := NewCOO(3*blockRows, 3*blockRows)
 	for bi := 0; bi < blockRows; bi++ {
@@ -60,17 +60,6 @@ func BenchmarkSpMVFormats(b *testing.B) {
 			{"CSR", a},
 			{"MSR", msr},
 			{"SELL", SELLFromCSR(a, 0)},
-			{"BCSR", BCSRFromCSR(a, 0)},
-		}
-		if blk, ok := UniformBlocks(a); ok {
-			vbr, err := VBRFromCSR(a, EvenPartition(a.Rows, blk), EvenPartition(a.Cols, blk))
-			if err != nil {
-				b.Fatal(err)
-			}
-			kernels = append(kernels, struct {
-				name string
-				m    Matrix
-			}{"VBR", vbr})
 		}
 		// The probe-bound steady-state kernel: what format=auto runs
 		// after Setup. Must never lose to CSR beyond probe noise.
@@ -102,21 +91,12 @@ func bindProbeWinner(b *testing.B, k *ParSpMV, a *CSR, choice FormatChoice) {
 	switch choice {
 	case ChoiceSELL:
 		k.BindSELL(SELLFromCSR(a, TunedSELLChunk(a.Rows, 1)), false, 1)
-	case ChoiceBCSR:
-		k.BindBCSR(BCSRFromCSR(a, 0), false)
 	case ChoiceMSR:
 		m, split, err := MSROrderedFromCSR(a)
 		if err != nil {
 			b.Fatal(err)
 		}
 		k.BindMSROrdered(m, split, false)
-	case ChoiceVBR:
-		blk, _ := UniformBlocks(a)
-		v, err := VBRFromCSR(a, EvenPartition(a.Rows, blk), EvenPartition(a.Cols, blk))
-		if err != nil {
-			b.Fatal(err)
-		}
-		k.BindVBR(v, false)
 	default:
 		k.BindCSR(a, false)
 	}

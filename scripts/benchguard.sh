@@ -36,10 +36,9 @@ PKGS=(
   "./internal/core"
   "./internal/pmat"
   "./internal/service"
-  "./internal/slu"
   "./internal/mesh"
 )
-PATTERN='^(BenchmarkCOOToCSR|BenchmarkTranspose|BenchmarkMSRConversion|BenchmarkSpMVFormats|BenchmarkFormatProbe|BenchmarkNilRecorderAdd|BenchmarkNilRecorderStartPhase|BenchmarkRecorderAdd|BenchmarkRecorderResidual|BenchmarkSessionReuseSolve|BenchmarkSolveSteadyState|BenchmarkApplyAllocs|BenchmarkServiceSolveReuse|BenchmarkApplyWorkers|BenchmarkTriSolveWorkers|BenchmarkFEMAssembly|BenchmarkReadMatrixMarket|BenchmarkMMIngestSetup|BenchmarkMDot)$'
+PATTERN='^(BenchmarkCOOToCSR|BenchmarkTranspose|BenchmarkMSRConversion|BenchmarkSpMVFormats|BenchmarkFormatProbe|BenchmarkNilRecorderAdd|BenchmarkNilRecorderStartPhase|BenchmarkRecorderAdd|BenchmarkRecorderResidual|BenchmarkSessionReuseSolve|BenchmarkSolveSteadyState|BenchmarkApplyAllocs|BenchmarkServiceSolveReuse|BenchmarkApplyWorkers|BenchmarkFEMAssembly|BenchmarkReadMatrixMarket|BenchmarkMMIngestSetup|BenchmarkMDot)$'
 
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT

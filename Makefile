@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check race workers vet fmt lint vet-self ignore-audit bench benchguard baseline telemetry chaos chaos-service serve-integration sweep golden fuzz clean
+.PHONY: all build test check race vet fmt lint vet-self ignore-audit bench benchguard baseline telemetry chaos chaos-service serve-integration sweep golden fuzz clean
 
 all: check
 
@@ -16,12 +16,7 @@ test:
 check: build vet fmt lint vet-self test race
 
 race:
-	$(GO) test -race ./internal/comm/... ./internal/pmat/... ./internal/core/... ./internal/telemetry/... ./internal/bench/... ./internal/service/... ./internal/par/... ./internal/slu/...
-
-# workers = CI's workers-pool leg: the whole suite with every session
-# forced onto a pooled backend (core's LISI_WORKERS env fallback).
-workers:
-	LISI_WORKERS=4 $(GO) test -race -count=1 ./...
+	$(GO) test -race ./internal/comm/... ./internal/pmat/... ./internal/core/... ./internal/telemetry/... ./internal/bench/... ./internal/service/... ./internal/slu/...
 
 vet:
 	$(GO) vet ./...

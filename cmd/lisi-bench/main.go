@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 
 	"repro/internal/bench"
@@ -65,7 +64,6 @@ func main() {
 	grid := flag.Int("grid", 0, "override Figure 5 grid size n (0 = paper's n=200, nnz=199200)")
 	stat := flag.String("stat", "median", "aggregate repeated runs with \"median\" (robust) or \"mean\" (as the paper)")
 	timeout := flag.Duration("timeout", 0, "overall campaign deadline (0 = none); expiry exits with status 124")
-	workers := flag.Int("workers", 1, "intra-rank worker-pool size for the CCA measurements (results are bitwise-identical for any count)")
 	format := flag.String("format", "", "local SpMV storage format for the CCA measurements: auto, csr, msr, or sell (empty = csr)")
 	telemetryOut := flag.String("telemetry", "", "write instrumented per-phase solve reports to this JSON file")
 	faultSpec := flag.String("fault-spec", "",
@@ -114,12 +112,6 @@ func main() {
 	}
 
 	params := bench.DefaultParams()
-	if *workers > 1 {
-		// workers=1 is the serial default; only a parallel pool needs the
-		// parameter (the CCA side sets it per backend, the native side has
-		// no intra-rank pool — another port-vocabulary difference).
-		params["workers"] = strconv.Itoa(*workers)
-	}
 	if *format != "" {
 		if _, err := sparse.ParseFormatChoice(*format); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -139,7 +131,7 @@ func main() {
 	}
 
 	if *sweep {
-		runSweep(ctx, *corpus, *procs, *workers, *format, *sweepTol, *sweepMaxIts, *sweepOut, *sweepMD)
+		runSweep(ctx, *corpus, *procs, *format, *sweepTol, *sweepMaxIts, *sweepOut, *sweepMD)
 		return
 	}
 
@@ -232,7 +224,7 @@ func main() {
 // with the appropriate status: 0 when every cell converged, 3 when any
 // cell failed (after the complete table and reports are out), 124/130
 // on cancellation.
-func runSweep(ctx context.Context, corpusDir string, procs, workers int, format string, tol float64, maxIts int, outJSON, outMD string) {
+func runSweep(ctx context.Context, corpusDir string, procs int, format string, tol float64, maxIts int, outJSON, outMD string) {
 	families, err := bench.CorpusFamilies(corpusDir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
@@ -244,12 +236,11 @@ func runSweep(ctx context.Context, corpusDir string, procs, workers int, format 
 	if procs != 8 { // non-default: the user chose a count
 		cfg.Procs = procs
 	}
-	cfg.Workers = workers
 	if format != "" {
 		cfg.Formats = []string{format}
 	}
-	fmt.Printf("== Workload sweep: %d families, procs=%d, workers=%d, formats=%s, tol=%g, maxits=%d ==\n",
-		len(families), cfg.Procs, cfg.Workers, strings.Join(cfg.Formats, ","), cfg.Tol, cfg.MaxIts)
+	fmt.Printf("== Workload sweep: %d families, procs=%d, formats=%s, tol=%g, maxits=%d ==\n",
+		len(families), cfg.Procs, strings.Join(cfg.Formats, ","), cfg.Tol, cfg.MaxIts)
 	report, runErr := bench.RunSweep(ctx, families, cfg)
 
 	// The table and reports are emitted unconditionally — a failing

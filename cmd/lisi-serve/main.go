@@ -26,24 +26,22 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":8080", "HTTP listen address (use :0 for an ephemeral port)")
-		procs      = flag.Int("procs", 1, "default SPMD world size for requests that omit procs")
-		maxProcs   = flag.Int("max-procs", 8, "largest world size a request may ask for")
-		workers    = flag.Int("workers", 1, "default intra-rank worker-pool size for requests that omit workers")
-		maxWorkers = flag.Int("max-workers", 16, "largest intra-rank worker count a request may ask for")
-		format     = flag.String("format", "", "default SpMV storage format for requests that omit format: auto, csr, msr, or sell (empty = csr)")
-		sessions   = flag.Int("max-sessions", 64, "pooled session cap (LRU-evicted beyond it)")
-		queue      = flag.Int("queue-depth", 32, "per-session queue depth before queue_full shedding")
-		pending    = flag.Int("max-pending", 1024, "server-wide pending request cap before overloaded shedding")
-		tenantCap  = flag.Int("tenant-max-pending", 128, "per-tenant pending request quota")
-		batchRHS   = flag.Int("max-batch-rhs", 8, "max combined right-hand sides per coalesced solve (1 disables batching)")
-		maxNRHS    = flag.Int("max-nrhs", 16, "max right-hand sides in one request")
-		maxN       = flag.Int("max-unknowns", 1<<21, "max global system dimension")
-		maxBody    = flag.Int64("max-body-bytes", 64<<20, "max request body size")
-		solveTO    = flag.Duration("solve-timeout", time.Minute, "per-solve deadline (0 disables)")
-		backoff    = flag.Duration("retry-backoff", 0, "initial backoff between solve retries")
-		drainTO    = flag.Duration("drain-timeout", time.Minute, "max wait for in-flight solves on shutdown")
-		enableFI   = flag.Bool("enable-fault-injection", false,
+		addr      = flag.String("addr", ":8080", "HTTP listen address (use :0 for an ephemeral port)")
+		procs     = flag.Int("procs", 1, "default SPMD world size for requests that omit procs")
+		maxProcs  = flag.Int("max-procs", 8, "largest world size a request may ask for")
+		format    = flag.String("format", "", "default SpMV storage format for requests that omit format: auto, csr, msr, or sell (empty = csr)")
+		sessions  = flag.Int("max-sessions", 64, "pooled session cap (LRU-evicted beyond it)")
+		queue     = flag.Int("queue-depth", 32, "per-session queue depth before queue_full shedding")
+		pending   = flag.Int("max-pending", 1024, "server-wide pending request cap before overloaded shedding")
+		tenantCap = flag.Int("tenant-max-pending", 128, "per-tenant pending request quota")
+		batchRHS  = flag.Int("max-batch-rhs", 8, "max combined right-hand sides per coalesced solve (1 disables batching)")
+		maxNRHS   = flag.Int("max-nrhs", 16, "max right-hand sides in one request")
+		maxN      = flag.Int("max-unknowns", 1<<21, "max global system dimension")
+		maxBody   = flag.Int64("max-body-bytes", 64<<20, "max request body size")
+		solveTO   = flag.Duration("solve-timeout", time.Minute, "per-solve deadline (0 disables)")
+		backoff   = flag.Duration("retry-backoff", 0, "initial backoff between solve retries")
+		drainTO   = flag.Duration("drain-timeout", time.Minute, "max wait for in-flight solves on shutdown")
+		enableFI  = flag.Bool("enable-fault-injection", false,
 			"honor fault specs in requests and -fault-spec (requires a -tags faultinject build; chaos testing only)")
 		faultSpec = flag.String("fault-spec", "", "server-level fault schedule armed on every pooled session (fault.ParseSpec syntax)")
 	)
@@ -59,8 +57,6 @@ func main() {
 	svc, err := service.New(service.Config{
 		DefaultProcs:         *procs,
 		MaxProcs:             *maxProcs,
-		DefaultWorkers:       *workers,
-		MaxWorkers:           *maxWorkers,
 		DefaultFormat:        *format,
 		MaxSessions:          *sessions,
 		QueueDepth:           *queue,

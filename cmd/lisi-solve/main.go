@@ -70,7 +70,6 @@ func main() {
 	solver := flag.String("solver", "petsc",
 		fmt.Sprintf("solver backend: one of %s", strings.Join(core.Names(), ", ")))
 	procs := flag.Int("procs", 2, "simulated processor count")
-	workers := flag.Int("workers", 1, "intra-rank worker-pool size for the backend's kernels (results are bitwise-identical for any count)")
 	format := flag.String("format", "", "local SpMV storage format: auto, csr, msr, or sell (empty = csr; results are bitwise-identical for every format)")
 	timeout := flag.Duration("timeout", 0, "per-solve deadline (0 = none); expiry exits with status 124")
 	params := setFlags{}
@@ -170,7 +169,6 @@ func main() {
 			Recorder:     rec,
 			SolveTimeout: *timeout,
 			Params:       params,
-			Workers:      *workers,
 			Format:       *format,
 			Failover:     failoverChain,
 			MaxAttempts:  *maxAttempts,

@@ -28,12 +28,11 @@ import (
 //
 // The sparse kernel substrate gets two rules of its own:
 //
-//   - Per-product kernel methods — MulVec, MulVecAdd, Apply, and
-//     par.Task-shaped Range(slot, lo, hi) methods — are the bodies the
-//     steady-state 0-alloc contract runs through on every product, so
-//     any make() or self-append growth anywhere in them (not just in a
-//     loop) is reported. Scratch must be bound once at conversion or
-//     Bind time (the SELL `acc` field and ParSpMV slot scratch).
+//   - Per-product kernel methods — MulVec, MulVecAdd and Apply — are
+//     the bodies the steady-state 0-alloc contract runs through on
+//     every product, so any make() or self-append growth anywhere in
+//     them (not just in a loop) is reported. Scratch must be bound once
+//     at conversion or Bind time (the SELL `acc` field).
 //
 //   - Converter loops — loops inside the CSR→X converters (functions
 //     named *FromCSR) — must not make() per iteration: converters run
@@ -50,7 +49,7 @@ var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc: "flags make() and self-append growth inside solver iteration loops (loops applying the operator, " +
 		"reducing, or joining collectives) in the ksp/aztec/mg backends, inside per-product kernel methods " +
-		"(MulVec/MulVecAdd/Apply/Range) in sparse, and make() inside sparse *FromCSR converter loops; " +
+		"(MulVec/MulVecAdd/Apply) in sparse, and make() inside sparse *FromCSR converter loops; " +
 		"hot paths must reuse workspaces",
 	Run: runHotAlloc,
 }
@@ -62,10 +61,10 @@ var hotAllocPackages = map[string]bool{
 }
 
 // hotKernelMethods are the per-product kernel entry points in the
-// sparse package: each runs once per SpMV (Range once per worker per
-// product), so its whole body is a hot context.
+// sparse package: each runs once per SpMV, so its whole body is a hot
+// context.
 var hotKernelMethods = map[string]bool{
-	"MulVec": true, "MulVecAdd": true, "Apply": true, "Range": true,
+	"MulVec": true, "MulVecAdd": true, "Apply": true,
 }
 
 // hotCallNames are the lower-cased callee names that mark a loop as a
@@ -107,11 +106,6 @@ func runHotAllocSparse(pass *Pass) {
 			}
 			switch {
 			case fd.Recv != nil && hotKernelMethods[fd.Name.Name]:
-				// Range only counts in the par.Task shape; an unrelated
-				// Range method (an iterator, say) is not a kernel.
-				if fd.Name.Name == "Range" && !intTriple(pass.Pkg.Info, fd.Type.Params) {
-					continue
-				}
 				reportKernelAllocs(pass, fd.Body, fd.Name.Name)
 			case strings.HasSuffix(fd.Name.Name, "FromCSR"):
 				reportConverterLoopMakes(pass, fd.Body, fd.Name.Name)
@@ -122,8 +116,8 @@ func runHotAllocSparse(pass *Pass) {
 
 // reportKernelAllocs reports every make() and self-append growth in
 // the body of one per-product kernel method: the whole body runs once
-// per SpMV (Range once per worker per product), so any allocation in
-// it breaks the steady-state 0-alloc contract.
+// per SpMV, so any allocation in it breaks the steady-state 0-alloc
+// contract.
 func reportKernelAllocs(pass *Pass, body *ast.BlockStmt, method string) {
 	info := pass.Pkg.Info
 	ast.Inspect(body, func(n ast.Node) bool {

@@ -34,18 +34,7 @@ import (
 //     of a partials slice, folded in index order after the join — is
 //     not flagged (indexed writes are exempt).
 //
-//  4. Unordered pool folds: a method named Range with the par.Task
-//     shape (three int parameters — slot, lo, hi) runs concurrently on
-//     every worker of an intra-rank pool. Accumulating into shared
-//     floating-point state from inside it — a receiver field or a
-//     variable declared outside the method — folds partials in worker
-//     completion order, which varies run to run (and races). The
-//     sanctioned par slot-partial idiom is exempt: each worker writes
-//     only its own slot (`t.partials[slot] += v`, any indexed write)
-//     or a row it owns, and the caller folds the slots in slot order
-//     after Run returns; method-local accumulators are likewise fine.
-//
-//  5. Map-ordered storage layout in the sparse substrate: in package
+//  4. Map-ordered storage layout in the sparse substrate: in package
 //     sparse, appending float values to a slice declared outside a
 //     `for … range m` over a map lays coefficients out in a
 //     process-random order. The stored order of a sparse format IS the
@@ -64,8 +53,7 @@ import (
 var SpmdDet = &Analyzer{
 	Name: "spmddet",
 	Doc: "flags SPMD determinism hazards: comm calls or floating-point folds ordered by map iteration, " +
-		"goroutine-shared float accumulation without a fixed fold order, pool-task Range methods that " +
-		"fold into shared floats instead of per-worker slots, map-ordered storage-layout appends in the " +
+		"goroutine-shared float accumulation without a fixed fold order, map-ordered storage-layout appends in the " +
 		"sparse converters, and in-place reductions in ksp/aztec outside the audited fused* helper inventory",
 	Run: runSpmdDet,
 }
@@ -78,11 +66,6 @@ func runSpmdDet(pass *Pass) {
 	fusedInventory := seg == "ksp" || seg == "aztec"
 	layoutScope := seg == "sparse"
 	for _, f := range pass.Pkg.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				spmdRangeTaskAccum(pass, fd)
-			}
-		}
 		funcsOf(f, func(name string, body *ast.BlockStmt) {
 			spmdMapRanges(pass, body)
 			spmdGoroutineAccum(pass, body)
@@ -96,7 +79,7 @@ func runSpmdDet(pass *Pass) {
 	}
 }
 
-// spmdMapLayoutAppends implements check 5 for one sparse-package
+// spmdMapLayoutAppends implements check 4 for one sparse-package
 // function body: a self-append of float values into a slice declared
 // outside a map range commits storage layout in map iteration order.
 func spmdMapLayoutAppends(pass *Pass, body *ast.BlockStmt) {
@@ -161,111 +144,6 @@ func isFloatSlice(info *types.Info, e ast.Expr) bool {
 	}
 	b, ok := sl.Elem().Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsFloat != 0
-}
-
-// spmdRangeTaskAccum implements check 4 for one declaration: a method
-// named Range with three int parameters is the par.Task hook and runs
-// concurrently on every pool worker. Floating-point accumulation into
-// anything shared between workers — a receiver field or a variable
-// declared outside the method body — is an unordered pool fold. Indexed
-// writes (`t.partials[slot] += v`) are the sanctioned slot-partial
-// idiom and accumulators declared inside the body are worker-private,
-// so both stay exempt.
-func spmdRangeTaskAccum(pass *Pass, decl *ast.FuncDecl) {
-	if decl.Recv == nil || decl.Name.Name != "Range" || decl.Body == nil {
-		return
-	}
-	info := pass.Pkg.Info
-	if !intTriple(info, decl.Type.Params) {
-		return
-	}
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		s, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		target, name := sharedAccumulation(info, s)
-		if target == nil {
-			return true
-		}
-		root := rootIdent(target)
-		if root == nil || !declaredOutside(info, root, decl.Body.Pos(), decl.Body.End()) {
-			// A body-local accumulator (the per-row `s += …` kernel
-			// shape) is private to the worker running this range.
-			return true
-		}
-		pass.Report(s.Pos(),
-			"pool task Range accumulates into shared float "+name+"; Range runs concurrently on every worker, "+
-				"so the partials fold in worker completion order (and race), breaking bitwise reproducibility",
-			"write each worker's partial into its own slot (e.g. partials[slot]) and fold the slots in slot order "+
-				"after Run returns — the par slot-partial idiom — or suppress with //lisi:ignore spmddet <reason>")
-		return true
-	})
-}
-
-// intTriple reports whether the parameter list is exactly three plain
-// ints — the par.Task Range(slot, lo, hi int) shape.
-func intTriple(info *types.Info, params *ast.FieldList) bool {
-	if params == nil {
-		return false
-	}
-	n := 0
-	for _, f := range params.List {
-		tv, ok := info.Types[f.Type]
-		if !ok || tv.Type == nil {
-			return false
-		}
-		b, ok := tv.Type.Underlying().(*types.Basic)
-		if !ok || b.Kind() != types.Int {
-			return false
-		}
-		if len(f.Names) == 0 {
-			n++
-		} else {
-			n += len(f.Names)
-		}
-	}
-	return n == 3
-}
-
-// sharedAccumulation is floatAccumulation widened to selector targets:
-// it returns the accumulated expression when s is a floating-point
-// accumulation whose target is a plain identifier or a field selector
-// (`t.sum += v`). Indexed writes stay exempt — they are the fixed-slot
-// idiom in every check that uses this.
-func sharedAccumulation(info *types.Info, s *ast.AssignStmt) (ast.Expr, string) {
-	if len(s.Lhs) != 1 || len(s.Rhs) != 1 {
-		return nil, ""
-	}
-	lhs := ast.Unparen(s.Lhs[0])
-	switch lhs.(type) {
-	case *ast.Ident, *ast.SelectorExpr:
-	default:
-		return nil, ""
-	}
-	if !isFloatExpr(info, lhs) {
-		return nil, ""
-	}
-	name := exprString(lhs)
-	switch s.Tok {
-	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
-		return lhs, name
-	case token.ASSIGN:
-		// x = x + v (or v + x, x - v, …).
-		bin, ok := ast.Unparen(s.Rhs[0]).(*ast.BinaryExpr)
-		if !ok {
-			return nil, ""
-		}
-		switch bin.Op {
-		case token.ADD, token.SUB, token.MUL, token.QUO:
-		default:
-			return nil, ""
-		}
-		if exprString(ast.Unparen(bin.X)) == name || exprString(ast.Unparen(bin.Y)) == name {
-			return lhs, name
-		}
-	}
-	return nil, ""
 }
 
 // rootIdent walks selector chains to the base identifier (`t.acc.sum`

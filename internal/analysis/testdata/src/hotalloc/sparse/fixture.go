@@ -1,8 +1,7 @@
 // Fixture for the hotalloc analyzer's sparse-substrate rules. The
 // package's path ends in "sparse": per-product kernel methods (MulVec,
-// MulVecAdd, Apply, and par.Task-shaped Range) are hot contexts
-// outright, and *FromCSR converter loops must not make() per
-// iteration.
+// MulVecAdd and Apply) are hot contexts outright, and *FromCSR
+// converter loops must not make() per iteration.
 package sparse
 
 // kern stands in for a format kernel: the analyzer keys off the method
@@ -29,26 +28,6 @@ func (k *kern) MulVecAdd(y, x []float64) {
 	}
 }
 
-// Range in the par.Task shape (slot, lo, hi int) runs once per worker
-// per product; its body is as hot as MulVec's.
-func (k *kern) Range(slot, lo, hi int) {
-	buf := make([]float64, hi-lo) // want "make\\(\\) inside per-product kernel Range allocates on every product"
-	_ = buf
-}
-
-// iter is NOT a kernel: its Range is an iterator callback, not the
-// par.Task shape, so the allocation stays silent.
-type iter struct{ n int }
-
-func (it iter) Range(f func(int) bool) {
-	scratch := make([]int, it.n)
-	for i := range scratch {
-		if !f(i) {
-			return
-		}
-	}
-}
-
 // reuseAppend is the supported kernel idiom: appending to acc[:0]
 // keeps conversion-time capacity and is not growth.
 func (k *kern) Apply(y, x []float64) {
@@ -58,8 +37,8 @@ func (k *kern) Apply(y, x []float64) {
 
 // bindScratch is not a kernel entry point: allocation in Bind-time
 // helpers is exactly where scratch belongs.
-func (k *kern) bindScratch(workers int) {
-	k.acc = make([]float64, workers*k.rows)
+func (k *kern) bindScratch() {
+	k.acc = make([]float64, k.rows)
 }
 
 // badFromCSR makes per row: against a production-sized operator the

@@ -1,8 +1,7 @@
 // Fixture for the spmddet analyzer: comm calls and floating-point folds
-// ordered by map iteration, goroutine-shared float accumulation, and
-// pool-task Range methods folding into shared floats must be flagged;
-// the sorted-keys idiom, integer folds, key collection and the
-// per-slot partials idiom must not.
+// ordered by map iteration and goroutine-shared float accumulation
+// must be flagged; the sorted-keys idiom, integer folds, key collection
+// and the per-slot partials idiom must not.
 package spmddet
 
 import (
@@ -127,71 +126,4 @@ func goroutinePerSlot(parts [][]float64) float64 {
 		total += v
 	}
 	return total
-}
-
-// poolFoldTask is the unordered pool fold: every worker's Range call
-// accumulates into one shared receiver field, so partials fold in
-// worker completion order.
-type poolFoldTask struct {
-	vals []float64
-	sum  float64
-}
-
-func (t *poolFoldTask) Range(slot, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		t.sum += t.vals[i] // want "pool task Range accumulates into shared float t.sum"
-	}
-}
-
-var poolGrandTotal float64
-
-// globalFoldTask folds into a package-level float from inside Range —
-// the same hazard through a captured global, in spelled-out form.
-type globalFoldTask struct{ vals []float64 }
-
-func (t *globalFoldTask) Range(_, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		poolGrandTotal = poolGrandTotal + t.vals[i] // want "pool task Range accumulates into shared float poolGrandTotal"
-	}
-}
-
-// slotFoldTask is the sanctioned par slot-partial idiom: each worker
-// accumulates into a body-local and writes only its own slot; the
-// caller folds the slots in slot order after Run returns.
-type slotFoldTask struct {
-	vals     []float64
-	partials []float64
-}
-
-func (t *slotFoldTask) Range(slot, lo, hi int) {
-	s := 0.0
-	for i := lo; i < hi; i++ {
-		s += t.vals[i]
-	}
-	t.partials[slot] += s
-}
-
-// rowOwnerTask is the row-parallel kernel shape: a body-local
-// accumulator per row, written to a row this worker owns.
-type rowOwnerTask struct {
-	rows [][]float64
-	out  []float64
-}
-
-func (t *rowOwnerTask) Range(_, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		s := 0.0
-		for _, v := range t.rows[i] {
-			s += v
-		}
-		t.out[i] = s
-	}
-}
-
-// notATask has a Range method without the par.Task (slot, lo, hi int)
-// shape; it runs on one goroutine, so field accumulation is fine.
-type notATask struct{ sum float64 }
-
-func (t *notATask) Range(lo, hi int) {
-	t.sum += float64(hi - lo)
 }

@@ -2,12 +2,18 @@ package aztec
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 
 	"repro/internal/sparse"
 )
+
+// ErrZeroPivot reports an ILUT pivot that is exactly zero with a zero
+// drop tolerance, so no fix-up value exists, or a row that is entirely
+// zero; NewILUT wraps it with the failing row.
+var ErrZeroPivot = errors.New("aztec: ILUT: zero pivot")
 
 // ILUT is Saad's dual-threshold incomplete LU factorization ILUT(τ,lfil)
 // of a local (serial) square matrix: entries smaller than a relative drop
@@ -69,7 +75,7 @@ func NewILUT(a *sparse.CSR, droptol, fill float64) (*ILUT, error) {
 		cols, vals := a.RowView(i)
 		rowNorm := sparse.Norm2(vals)
 		if rowNorm == 0 {
-			return nil, fmt.Errorf("aztec: ILUT: row %d is entirely zero", i)
+			return nil, fmt.Errorf("%w: row %d is entirely zero", ErrZeroPivot, i)
 		}
 		tau := droptol * rowNorm
 		nnzRow := len(cols)
@@ -154,7 +160,7 @@ func NewILUT(a *sparse.CSR, droptol, fill float64) (*ILUT, error) {
 			// keeping the preconditioner usable for nearly singular rows.
 			diag = tau
 			if diag == 0 {
-				return nil, fmt.Errorf("aztec: ILUT: zero pivot at row %d with zero drop tolerance", i)
+				return nil, fmt.Errorf("%w at row %d with zero drop tolerance", ErrZeroPivot, i)
 			}
 		}
 		f.uDiag[i] = diag

@@ -7,7 +7,6 @@ import (
 	"os"
 
 	"repro/internal/comm"
-	"repro/internal/par"
 	"repro/internal/pmat"
 	"repro/internal/sparse"
 	"repro/internal/telemetry"
@@ -37,27 +36,12 @@ type Solver struct {
 	precParams []float64
 	bb         []float64
 	ws         azWorkspace
-
-	// pool is the intra-rank worker pool (nil = legacy serial path):
-	// local reduction halves route through its fixed-slot fold, and the
-	// distributed product of a CrsMatrix row-partitions across it.
-	pool *par.Pool
-}
-
-// SetPool attaches an intra-rank worker pool (nil restores the serial
-// path). The pool is caller-owned. Idempotent; call after the matrix is
-// set so the distributed product picks it up.
-func (s *Solver) SetPool(p *par.Pool) {
-	s.pool = p
-	if cm, ok := s.rm.(*CrsMatrix); ok && cm != nil && cm.Dist() != nil {
-		cm.Dist().SetPool(p)
-	}
 }
 
 // SetFormat selects the local SpMV storage format for the assembled
 // matrix's distributed product (no-op for matrix-free operators).
-// Cached on (choice, pool) inside the matrix; the bool reports whether
-// a (re)bind happened. Call after SetMatrix and SetPool.
+// Cached on the choice inside the matrix; the bool reports whether a
+// (re)bind happened. Call after SetMatrix.
 func (s *Solver) SetFormat(fc sparse.FormatChoice) (pmat.FormatInfo, bool) {
 	if cm, ok := s.rm.(*CrsMatrix); ok && cm != nil && cm.Dist() != nil {
 		return cm.Dist().SetFormat(fc)
@@ -65,41 +49,10 @@ func (s *Solver) SetFormat(fc sparse.FormatChoice) (pmat.FormatInfo, bool) {
 	return pmat.FormatInfo{}, false
 }
 
-// lDot and lNorm2 are the local halves of the global reductions: the
-// pooled fixed-slot fold when a pool is attached (bitwise-identical
-// for every worker count), exactly sparse.Dot / sparse.Norm2 without
-// one. All fused* helpers funnel through them, preserving the audited
-// rank-order fold.
-func (s *Solver) lDot(x, y []float64) float64 {
-	if s.pool != nil {
-		return s.pool.Dot(x, y)
-	}
-	return sparse.Dot(x, y)
-}
-
-func (s *Solver) lNorm2(x []float64) float64 {
-	if s.pool != nil {
-		return s.pool.Norm2(x)
-	}
-	return sparse.Norm2(x)
-}
-
-// lMDot is the multi-column lDot, h[i] = x·v[i]: one pool.Dot per
-// column when pooled (the fixed-slot fold), sparse.MDot — bitwise equal
-// to sparse.Dot column by column — when serial.
-func (s *Solver) lMDot(x []float64, v [][]float64, h []float64) {
-	if s.pool == nil {
-		sparse.MDot(x, v, h)
-		return
-	}
-	for i := range v {
-		h[i] = s.pool.Dot(x, v[i])
-	}
-}
-
-// norm2 is the global ‖x‖₂ over the pool-aware local half.
+// norm2 is the global ‖x‖₂: the local sparse.Norm2 folded across ranks
+// in rank order, the local half every fused* helper shares.
 func (s *Solver) norm2(x []float64) float64 {
-	l := s.lNorm2(x)
+	l := sparse.Norm2(x)
 	return math.Sqrt(s.c.AllReduceFloat64(l*l, comm.OpSum))
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/comm"
+	"repro/internal/sparse"
 )
 
 // azWorkspace is the per-Solver scratch reused across repeated Solve
@@ -61,7 +62,7 @@ func (s *Solver) wsKrylov(n, m int) *azWorkspace {
 
 // fusedNorm2x2 returns (‖a‖₂, ‖b‖₂) with one AllReduce.
 func (s *Solver) fusedNorm2x2(a, b []float64) (float64, float64) {
-	la, lb := s.lNorm2(a), s.lNorm2(b)
+	la, lb := sparse.Norm2(a), sparse.Norm2(b)
 	s.ws.red[0] = la * la
 	s.ws.red[1] = lb * lb
 	s.c.AllReduceFloat64sInPlace(s.ws.red[:2], comm.OpSum)
@@ -70,27 +71,27 @@ func (s *Solver) fusedNorm2x2(a, b []float64) (float64, float64) {
 
 // fusedNorm2x2Dot returns (‖a‖₂, ‖b‖₂, c·d) with one AllReduce.
 func (s *Solver) fusedNorm2x2Dot(a, b, c, d []float64) (float64, float64, float64) {
-	la, lb := s.lNorm2(a), s.lNorm2(b)
+	la, lb := sparse.Norm2(a), sparse.Norm2(b)
 	s.ws.red[0] = la * la
 	s.ws.red[1] = lb * lb
-	s.ws.red[2] = s.lDot(c, d)
+	s.ws.red[2] = sparse.Dot(c, d)
 	s.c.AllReduceFloat64sInPlace(s.ws.red[:3], comm.OpSum)
 	return math.Sqrt(s.ws.red[0]), math.Sqrt(s.ws.red[1]), s.ws.red[2]
 }
 
 // fusedNormDot returns (‖a‖₂, a·b) with one AllReduce.
 func (s *Solver) fusedNormDot(a, b []float64) (float64, float64) {
-	la := s.lNorm2(a)
+	la := sparse.Norm2(a)
 	s.ws.red[0] = la * la
-	s.ws.red[1] = s.lDot(a, b)
+	s.ws.red[1] = sparse.Dot(a, b)
 	s.c.AllReduceFloat64sInPlace(s.ws.red[:2], comm.OpSum)
 	return math.Sqrt(s.ws.red[0]), s.ws.red[1]
 }
 
 // fusedDot2 returns (a1·b1, a2·b2) with one AllReduce.
 func (s *Solver) fusedDot2(a1, b1, a2, b2 []float64) (float64, float64) {
-	s.ws.red[0] = s.lDot(a1, b1)
-	s.ws.red[1] = s.lDot(a2, b2)
+	s.ws.red[0] = sparse.Dot(a1, b1)
+	s.ws.red[1] = sparse.Dot(a2, b2)
 	s.c.AllReduceFloat64sInPlace(s.ws.red[:2], comm.OpSum)
 	return s.ws.red[0], s.ws.red[1]
 }
@@ -101,7 +102,7 @@ func (s *Solver) fusedDot2(a1, b1, a2, b2 []float64) (float64, float64) {
 // unfused global dot.
 func (s *Solver) fusedMDot(x []float64, v [][]float64) []float64 {
 	h := s.ws.hj[:len(v)]
-	s.lMDot(x, v, h)
+	sparse.MDot(x, v, h)
 	s.c.AllReduceFloat64sInPlace(h, comm.OpSum)
 	return h
 }

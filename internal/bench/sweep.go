@@ -27,7 +27,7 @@ import (
 // operators (ROADMAP item 4).
 
 // SweepSchema identifies the JSON report layout; CI gates on it.
-const SweepSchema = "lisi.bench.sweep/v1"
+const SweepSchema = "lisi.bench.sweep/v2"
 
 // SweepFamily is one problem family: a global operator, a right-hand
 // side, and the backends able to solve it (geometric multigrid only
@@ -136,7 +136,6 @@ func CorpusFamilies(dir string) ([]SweepFamily, error) {
 // SweepConfig controls one sweep run.
 type SweepConfig struct {
 	Procs   int      // simulated ranks per cell (mg cells snap to a grid-aligned count)
-	Workers int      // intra-rank worker-pool size
 	Formats []string // SpMV format axis, e.g. ["csr", "auto"]
 	Tol     float64  // convergence tolerance passed to every backend
 	MaxIts  int      // iteration cap (mapped to "cycles" for mg)
@@ -146,7 +145,6 @@ type SweepConfig struct {
 func DefaultSweepConfig() SweepConfig {
 	return SweepConfig{
 		Procs:   3,
-		Workers: 1,
 		Formats: []string{"csr", "auto"},
 		Tol:     1e-8,
 		MaxIts:  2000,
@@ -160,7 +158,6 @@ type SweepCell struct {
 	Precond string `json:"preconditioner"`
 	Format  string `json:"format"`
 	Procs   int    `json:"procs"`
-	Workers int    `json:"workers"`
 	N       int    `json:"n"`
 	NNZ     int    `json:"nnz"`
 
@@ -200,7 +197,6 @@ type SweepFamilyInfo struct {
 type SweepReport struct {
 	Schema   string            `json:"schema"`
 	Procs    int               `json:"procs"`
-	Workers  int               `json:"workers"`
 	Tol      float64           `json:"tol"`
 	MaxIts   int               `json:"maxits"`
 	Families []SweepFamilyInfo `json:"families"`
@@ -228,8 +224,7 @@ type sweepMethod struct {
 
 // sweepMethods returns the preconditioner axis for a backend. Every
 // parameter set stays inside the backend's validated vocabulary —
-// Session.OpenSession rejects unknown keys for anything but
-// workers/format.
+// Session.OpenSession rejects unknown keys for anything but format.
 func sweepMethods(backend string, family SweepFamily, cfg SweepConfig) []sweepMethod {
 	tol := strconv.FormatFloat(cfg.Tol, 'g', -1, 64)
 	its := strconv.Itoa(cfg.MaxIts)
@@ -290,11 +285,10 @@ func RunSweep(ctx context.Context, families []SweepFamily, cfg SweepConfig) (*Sw
 		cfg.Procs = 1
 	}
 	report := &SweepReport{
-		Schema:  SweepSchema,
-		Procs:   cfg.Procs,
-		Workers: cfg.Workers,
-		Tol:     cfg.Tol,
-		MaxIts:  cfg.MaxIts,
+		Schema: SweepSchema,
+		Procs:  cfg.Procs,
+		Tol:    cfg.Tol,
+		MaxIts: cfg.MaxIts,
 	}
 	for _, fam := range families {
 		report.Families = append(report.Families, SweepFamilyInfo{
@@ -332,7 +326,6 @@ func runSweepCell(ctx context.Context, fam SweepFamily, backend string, method s
 		Precond: method.precond,
 		Format:  format,
 		Procs:   procs,
-		Workers: cfg.Workers,
 		N:       fam.Matrix.Rows,
 		NNZ:     fam.Matrix.NNZ(),
 	}
@@ -358,7 +351,6 @@ func runSweepCell(ctx context.Context, fam SweepFamily, backend string, method s
 		s, err := core.OpenSession(backend, c, core.SessionOptions{
 			Recorder: rec,
 			Params:   method.params,
-			Workers:  cfg.Workers,
 			Format:   format,
 		})
 		if err != nil {
@@ -443,8 +435,8 @@ func trueResidual(a *sparse.CSR, b, x []float64) (abs, rel float64) {
 func FormatSweepMarkdown(r *SweepReport) string {
 	var sb strings.Builder
 	sb.WriteString("# LISI workload sweep\n\n")
-	fmt.Fprintf(&sb, "Schema `%s` — %d famil%s, %d cells, procs=%d, workers=%d, tol=%g, maxits=%d.\n\n",
-		r.Schema, len(r.Families), plural(len(r.Families), "y", "ies"), len(r.Cells), r.Procs, r.Workers, r.Tol, r.MaxIts)
+	fmt.Fprintf(&sb, "Schema `%s` — %d famil%s, %d cells, procs=%d, tol=%g, maxits=%d.\n\n",
+		r.Schema, len(r.Families), plural(len(r.Families), "y", "ies"), len(r.Cells), r.Procs, r.Tol, r.MaxIts)
 	if failed := r.Failed(); len(failed) > 0 {
 		fmt.Fprintf(&sb, "**%d cell(s) failed to converge:** %s\n\n", len(failed), strings.Join(failed, ", "))
 	}

@@ -89,14 +89,14 @@ func TestSweepReportSchema(t *testing.T) {
 	if err := json.Unmarshal(raw, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"schema", "procs", "workers", "tol", "maxits", "families", "cells"} {
+	for _, key := range []string{"schema", "procs", "tol", "maxits", "families", "cells"} {
 		if _, ok := decoded[key]; !ok {
 			t.Fatalf("JSON report missing key %q", key)
 		}
 	}
 	cell := decoded["cells"].([]any)[0].(map[string]any)
 	for _, key := range []string{
-		"family", "backend", "preconditioner", "format", "procs", "workers", "n", "nnz",
+		"family", "backend", "preconditioner", "format", "procs", "n", "nnz",
 		"converged", "iterations", "wall_seconds",
 		"reported_residual", "true_residual", "relative_residual", "chosen_format",
 	} {

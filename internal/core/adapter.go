@@ -3,12 +3,10 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/cca"
 	"repro/internal/comm"
-	"repro/internal/par"
 	"repro/internal/pmat"
 	"repro/internal/sparse"
 	"repro/internal/telemetry"
@@ -63,17 +61,6 @@ type baseAdapter struct {
 	layoutVer int
 
 	factorizations int // cumulative setup count reported in Status
-
-	// pool is the intra-rank worker pool built from the "workers"
-	// parameter (nil while the parameter is absent — the legacy serial
-	// path). poolW keys the cached pool on the requested worker count so
-	// a steady-state Solve reuses it; lastDispatch/lastInline remember
-	// the pool's cumulative counters so per-solve telemetry deltas can
-	// be derived without resetting them.
-	pool         *par.Pool
-	poolW        int
-	lastDispatch int64
-	lastInline   int64
 
 	rec *telemetry.Recorder
 }
@@ -436,13 +423,6 @@ func (b *baseAdapter) SetMatrixFree(mf MatrixFree) int {
 	return OK
 }
 
-// validWorkers reports whether value is an acceptable "workers"
-// parameter: a positive integer worker count.
-func validWorkers(value string) bool {
-	v, err := strconv.Atoi(value)
-	return err == nil && v >= 1
-}
-
 // validFormat reports whether value is an acceptable "format"
 // parameter (auto, csr, msr, sell).
 func validFormat(value string) bool {
@@ -477,61 +457,6 @@ func (b *baseAdapter) recordFormat(info pmat.FormatInfo, changed bool) {
 	if info.ProbeNS > 0 {
 		b.rec.Add("sparse.probe_ns", info.ProbeNS)
 	}
-}
-
-// workerPool returns the intra-rank pool matching the "workers"
-// parameter, building (and labeling) it on first use or when the count
-// changed, and returning nil when the parameter is absent. Pool
-// identity is keyed on the requested count, so the steady state reuses
-// the pool and its parked workers.
-//
-// An explicit workers=1 still builds a (fanout-free) pool: the pooled
-// fixed-slot reductions then apply for every requested count, which is
-// what makes residual histories bitwise-identical across Workers
-// settings.
-func (b *baseAdapter) workerPool() *par.Pool {
-	v, ok := b.params["workers"]
-	if !ok {
-		b.releasePool()
-		return nil
-	}
-	w, _ := strconv.Atoi(v)
-	if w < 1 {
-		w = 1
-	}
-	if b.pool == nil || b.poolW != w {
-		b.releasePool()
-		b.pool = par.New(w)
-		b.poolW = w
-		b.rec.SetLabel("workers", v)
-	}
-	return b.pool
-}
-
-// releasePool shuts the pool's workers down (idempotent).
-func (b *baseAdapter) releasePool() {
-	if b.pool != nil {
-		b.pool.Close()
-		b.pool = nil
-		b.poolW = 0
-		b.lastDispatch, b.lastInline = 0, 0
-	}
-}
-
-// releaseResources implements the session-close hook: the only
-// releasable resource an adapter owns is its worker pool.
-func (b *baseAdapter) releaseResources() { b.releasePool() }
-
-// recordPoolStats feeds the pool's per-solve utilization deltas
-// (fan-out dispatches vs inline runs) into the telemetry counters.
-func (b *baseAdapter) recordPoolStats() {
-	if b.pool == nil {
-		return
-	}
-	d, i := b.pool.Stats()
-	b.rec.Add("par.dispatches", d-b.lastDispatch)
-	b.rec.Add("par.inline_runs", i-b.lastInline)
-	b.lastDispatch, b.lastInline = d, i
 }
 
 // buildLayout validates the distribution against the communicator and

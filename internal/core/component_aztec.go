@@ -117,10 +117,6 @@ func (ac *AztecComponent) Set(key, value string) int {
 		if v, err := strconv.Atoi(value); err != nil || v < 0 {
 			return ErrBadArg
 		}
-	case "workers":
-		if !validWorkers(value) {
-			return ErrBadArg
-		}
 	case "format":
 		if !validFormat(value) {
 			return ErrBadArg
@@ -257,7 +253,6 @@ func (ac *AztecComponent) Solve(solution []float64, status []float64, numLocalRo
 		}
 	}
 	s.SetRecorder(ac.rec)
-	s.SetPool(ac.workerPool())
 	ac.recordFormat(s.SetFormat(ac.formatChoice()))
 
 	totalIts := 0
@@ -276,13 +271,12 @@ func (ac *AztecComponent) Solve(solution []float64, status []float64, numLocalRo
 		totalIts += s.NumIters()
 		lastNorm = s.Status()[aztec.AZr]
 	}
-	ac.recordPoolStats()
 	writeStatus(status, statusLength, totalIts, lastNorm, true, ac.factorizations, FailNone)
 	return OK
 }
 
 // classifyAztecFailure normalizes aztec's status[AZWhy] termination
-// codes (and textual setup errors such as ILUT zero pivots) into a
+// codes (and typed setup errors such as ILUT zero pivots) into a
 // FailReason.
 func classifyAztecFailure(s *aztec.Solver, err error) FailReason {
 	switch int(s.Status()[aztec.AZWhy]) {

@@ -91,10 +91,6 @@ func (kc *KSPComponent) Set(key, value string) int {
 		if _, err := strconv.ParseBool(value); err != nil {
 			return ErrBadArg
 		}
-	case "workers":
-		if !validWorkers(value) {
-			return ErrBadArg
-		}
 	case "format":
 		if !validFormat(value) {
 			return ErrBadArg
@@ -246,7 +242,6 @@ func (kc *KSPComponent) Solve(solution []float64, status []float64, numLocalRow,
 	k := kc.k
 	k.SetOperators(kc.op)
 	k.SetRecorder(kc.rec)
-	k.SetPool(kc.workerPool())
 	kc.recordFormat(k.SetFormat(kc.formatChoice()))
 
 	totalIts := 0
@@ -262,13 +257,12 @@ func (kc *KSPComponent) Solve(solution []float64, status []float64, numLocalRow,
 		totalIts += k.Iterations()
 		lastNorm = k.ResidualNorm()
 	}
-	kc.recordPoolStats()
 	writeStatus(status, statusLength, totalIts, lastNorm, true, kc.factorizations, FailNone)
 	return OK
 }
 
 // classifyFailure normalizes ksp's PETSc-style ConvergedReason codes
-// (and its setup errors, e.g. ILU zero pivots) into a FailReason.
+// (and its typed setup errors, e.g. ILU zero pivots) into a FailReason.
 func (kc *KSPComponent) classifyFailure(err error) FailReason {
 	switch kc.k.Reason() {
 	case ksp.DivergedMaxIts:

@@ -78,10 +78,6 @@ func (mc *MGComponent) Set(key, value string) int {
 		if _, err := strconv.ParseBool(value); err != nil {
 			return ErrBadArg
 		}
-	case "workers":
-		if !validWorkers(value) {
-			return ErrBadArg
-		}
 	case "format":
 		if !validFormat(value) {
 			return ErrBadArg
@@ -237,7 +233,6 @@ func (mc *MGComponent) Solve(solution []float64, status []float64, numLocalRow, 
 		mc.factorizations++
 	}
 	mc.solver.SetRecorder(mc.rec)
-	mc.solver.SetPool(mc.workerPool())
 	mc.recordFormat(mc.solver.SetFormat(mc.formatChoice()))
 
 	totalCycles := 0
@@ -249,8 +244,8 @@ func (mc *MGComponent) Solve(solution []float64, status []float64, numLocalRow, 
 			x[i] = 0
 		}
 		if err := mc.solver.Solve(b, x); err != nil {
-			// mg reports "diverged at cycle N" or "no convergence in N
-			// cycles"; classifySolveError maps both.
+			// mg wraps ErrDiverged or ErrNoConvergence;
+			// classifySolveError maps both.
 			writeStatus(status, statusLength, mc.solver.Cycles(), mc.solver.ResidualNorm(), false,
 				mc.factorizations, classifySolveError(err))
 			return ErrSolveFailed
@@ -258,7 +253,6 @@ func (mc *MGComponent) Solve(solution []float64, status []float64, numLocalRow, 
 		totalCycles += mc.solver.Cycles()
 		lastNorm = mc.solver.ResidualNorm()
 	}
-	mc.recordPoolStats()
 	writeStatus(status, statusLength, totalCycles, lastNorm, true, mc.factorizations, FailNone)
 	return OK
 }

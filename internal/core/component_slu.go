@@ -63,12 +63,6 @@ func (sc *SLUComponent) Set(key, value string) int {
 		if v, err := strconv.Atoi(value); err != nil || v < 0 {
 			return ErrBadArg
 		}
-	case key == "workers":
-		// Accepted for seamless component swapping; the triangular
-		// solves are serial sweeps, so no worker pool is built.
-		if !validWorkers(value) {
-			return ErrBadArg
-		}
 	case key == "format":
 		// Accepted for seamless component swapping; the direct solver
 		// factors at setup, so no SpMV kernel survives to re-format.

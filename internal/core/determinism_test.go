@@ -81,16 +81,9 @@ func onesFor(a *sparse.CSR) []float64 {
 	return rhs
 }
 
-// solveWithWorkers runs one session solve of the given config with the
-// requested worker count and returns its trace.
-func solveWithWorkers(t *testing.T, c *comm.Comm, backend string, sys testSystem, params map[string]string, workers int) solveTrace {
-	t.Helper()
-	return solveConfigured(t, c, backend, sys, params, workers, "")
-}
-
-// solveConfigured runs one session solve with the requested worker
-// count and SpMV format selection and returns its trace.
-func solveConfigured(t *testing.T, c *comm.Comm, backend string, sys testSystem, params map[string]string, workers int, format string) solveTrace {
+// solveConfigured runs one session solve with the requested SpMV format
+// selection and returns its trace.
+func solveConfigured(t *testing.T, c *comm.Comm, backend string, sys testSystem, params map[string]string, format string) solveTrace {
 	t.Helper()
 	a, rhs := sys(t)
 	l, err := pmat.EvenLayout(c, a.Rows)
@@ -100,7 +93,6 @@ func solveConfigured(t *testing.T, c *comm.Comm, backend string, sys testSystem,
 	rec := telemetry.New()
 	s, err := OpenSession(backend, c, SessionOptions{
 		Params:   params,
-		Workers:  workers,
 		Format:   format,
 		Recorder: rec,
 	})
@@ -126,8 +118,8 @@ func solveConfigured(t *testing.T, c *comm.Comm, backend string, sys testSystem,
 	return tr
 }
 
-// determinismTable is the backend × operator matrix both bitwise
-// contracts run over. Beyond the model problems it pins one
+// determinismTable is the backend × operator matrix the bitwise format
+// contract runs over. Beyond the model problems it pins one
 // FEM-generated and one Matrix-Market-ingested operator: determinism
 // must not depend on where the system came from.
 var determinismTable = []struct {
@@ -150,78 +142,39 @@ var determinismTable = []struct {
 		"solver": "gmres", "preconditioner": "jacobi", "tol": "1e-8", "maxits": "400"}},
 }
 
-// TestSolveBitwiseDeterministicAcrossWorkers is the determinism
-// property test of the two-level parallelism model: for every backend
-// config, Session.Solve must produce byte-identical residual histories
-// and solution vectors for Workers ∈ {1, 2, 4, 7}. This is the
-// contract that makes the worker count a pure performance knob — run
-// it under -race to also exercise the pool's synchronization.
-func TestSolveBitwiseDeterministicAcrossWorkers(t *testing.T) {
+// TestSolveBitwiseDeterministicAcrossFormats is the contract of the
+// SpMV format knob: for every backend config, Session.Solve must produce
+// byte-identical residual histories and solution vectors for every
+// format ∈ {csr, auto, msr, sell}. This is what lets the autotuner bind
+// whatever wins the probe — per rank, per matrix — without any
+// reproducibility cost.
+func TestSolveBitwiseDeterministicAcrossFormats(t *testing.T) {
 	for _, tc := range determinismTable {
 		t.Run(tc.name, func(t *testing.T) {
 			run(t, 1, func(c *comm.Comm) {
-				ref := solveWithWorkers(t, c, tc.backend, tc.sys, tc.params, 1)
+				ref := solveConfigured(t, c, tc.backend, tc.sys, tc.params, "csr")
 				if len(ref.residuals) == 0 && tc.backend != "superlu" {
 					t.Fatalf("reference solve recorded no residual history")
 				}
-				for _, w := range []int{2, 4, 7} {
-					got := solveWithWorkers(t, c, tc.backend, tc.sys, tc.params, w)
+				for _, format := range []string{"auto", "msr", "sell"} {
+					got := solveConfigured(t, c, tc.backend, tc.sys, tc.params, format)
 					if len(got.residuals) != len(ref.residuals) {
-						t.Fatalf("workers=%d: residual history has %d points, workers=1 has %d",
-							w, len(got.residuals), len(ref.residuals))
+						t.Fatalf("format=%s: residual history has %d points, reference has %d",
+							format, len(got.residuals), len(ref.residuals))
 					}
 					for i := range got.residuals {
 						if math.Float64bits(got.residuals[i].Residual) != math.Float64bits(ref.residuals[i].Residual) ||
 							got.residuals[i].Iteration != ref.residuals[i].Iteration {
-							t.Fatalf("workers=%d: residual[%d] = (%d, %x), workers=1 = (%d, %x)",
-								w, i,
+							t.Fatalf("format=%s: residual[%d] = (%d, %x), reference = (%d, %x)",
+								format, i,
 								got.residuals[i].Iteration, math.Float64bits(got.residuals[i].Residual),
 								ref.residuals[i].Iteration, math.Float64bits(ref.residuals[i].Residual))
 						}
 					}
 					for i := range got.x {
 						if got.x[i] != ref.x[i] {
-							t.Fatalf("workers=%d: x[%d] = %x, workers=1 = %x", w, i, got.x[i], ref.x[i])
-						}
-					}
-				}
-			})
-		})
-	}
-}
-
-// TestSolveBitwiseDeterministicAcrossFormats extends the contract to
-// the SpMV format knob: for every backend config, Session.Solve must
-// produce byte-identical residual histories and solution vectors for
-// every format ∈ {csr, auto, msr, sell} crossed with serial and
-// pooled execution. This is what lets the autotuner bind whatever wins
-// the probe — per rank, per matrix — without any reproducibility cost.
-func TestSolveBitwiseDeterministicAcrossFormats(t *testing.T) {
-	for _, tc := range determinismTable {
-		t.Run(tc.name, func(t *testing.T) {
-			run(t, 1, func(c *comm.Comm) {
-				ref := solveConfigured(t, c, tc.backend, tc.sys, tc.params, 1, "csr")
-				for _, format := range []string{"auto", "msr", "sell"} {
-					for _, w := range []int{1, 4} {
-						got := solveConfigured(t, c, tc.backend, tc.sys, tc.params, w, format)
-						if len(got.residuals) != len(ref.residuals) {
-							t.Fatalf("format=%s workers=%d: residual history has %d points, reference has %d",
-								format, w, len(got.residuals), len(ref.residuals))
-						}
-						for i := range got.residuals {
-							if math.Float64bits(got.residuals[i].Residual) != math.Float64bits(ref.residuals[i].Residual) ||
-								got.residuals[i].Iteration != ref.residuals[i].Iteration {
-								t.Fatalf("format=%s workers=%d: residual[%d] = (%d, %x), reference = (%d, %x)",
-									format, w, i,
-									got.residuals[i].Iteration, math.Float64bits(got.residuals[i].Residual),
-									ref.residuals[i].Iteration, math.Float64bits(ref.residuals[i].Residual))
-							}
-						}
-						for i := range got.x {
-							if got.x[i] != ref.x[i] {
-								t.Fatalf("format=%s workers=%d: x[%d] = %x, reference = %x",
-									format, w, i, got.x[i], ref.x[i])
-							}
+							t.Fatalf("format=%s: x[%d] = %x, reference = %x",
+								format, i, got.x[i], ref.x[i])
 						}
 					}
 				}

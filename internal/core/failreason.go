@@ -1,8 +1,13 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"strings"
+
+	"repro/internal/aztec"
+	"repro/internal/ksp"
+	"repro/internal/mg"
+	"repro/internal/slu"
 )
 
 // FailReason is the normalized, backend-independent classification of a
@@ -98,20 +103,19 @@ func failReasonFromStatus(status []float64) FailReason {
 	return r
 }
 
-// classifySolveError maps a native solver error message onto a
-// FailReason for backends whose failure vocabulary is textual (slu's
-// singularity diagnostics, ILU/ILUT zero pivots, mg's cycle reports).
+// classifySolveError maps a native solver error onto a FailReason by
+// the typed sentinels the backends wrap (slu singularity, ILU/ILUT zero
+// pivots, ksp and mg divergence, mg cycle exhaustion). Anything else —
+// configuration errors included — is a method-specific breakdown.
 func classifySolveError(err error) FailReason {
-	if err == nil {
-		return FailNone
-	}
-	msg := err.Error()
 	switch {
-	case strings.Contains(msg, "singular"), strings.Contains(msg, "zero pivot"):
+	case err == nil:
+		return FailNone
+	case errors.Is(err, slu.ErrSingular), errors.Is(err, ksp.ErrZeroPivot), errors.Is(err, aztec.ErrZeroPivot):
 		return FailSingular
-	case strings.Contains(msg, "no convergence"), strings.Contains(msg, "max"):
+	case errors.Is(err, mg.ErrNoConvergence):
 		return FailMaxIterations
-	case strings.Contains(msg, "diverged"):
+	case errors.Is(err, ksp.ErrDiverged), errors.Is(err, mg.ErrDiverged):
 		return FailDivergence
 	}
 	return FailBreakdown

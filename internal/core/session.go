@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
 	"time"
 
 	"repro/internal/comm"
@@ -25,15 +24,6 @@ type SessionOptions struct {
 	// Params are LISI key=value parameters applied (in sorted key order,
 	// for SPMD determinism) right after the component is opened.
 	Params map[string]string
-
-	// Workers requests an intra-rank worker pool of that size for the
-	// backend's hot kernels (SpMV, triangular sweeps, reductions). Zero
-	// defers to the LISI_WORKERS environment variable and, when that is
-	// unset too, leaves the backend on its serial path. Results are
-	// bitwise-identical for every worker count (see PERFORMANCE.md). An
-	// explicit Params["workers"] wins over this field. Backends without
-	// the "workers" parameter ignore the request.
-	Workers int
 
 	// Format requests a local SpMV storage format for the backend's
 	// distributed products: "auto" (probe at setup), "csr" (the legacy
@@ -169,21 +159,9 @@ func OpenSession(backend string, c *comm.Comm, opts SessionOptions) (*Session, e
 	if code := solver.Initialize(c); code != OK {
 		return nil, Check(code)
 	}
-	// Fold the Workers request (field, then LISI_WORKERS) into a private
+	// Fold the Format request (field, then LISI_FORMAT) into a private
 	// copy of the parameter map so failover replays it too; an explicit
-	// Params["workers"] wins.
-	if w := resolveWorkers(opts.Workers); w > 0 {
-		if _, dup := opts.Params["workers"]; !dup {
-			p := make(map[string]string, len(opts.Params)+1)
-			for k, v := range opts.Params {
-				p[k] = v
-			}
-			p["workers"] = strconv.Itoa(w)
-			opts.Params = p
-			s.opts.Params = p
-		}
-	}
-	// Same folding for the Format request (field, then LISI_FORMAT).
+	// Params["format"] wins.
 	if f := resolveFormat(opts.Format); f != "" {
 		if _, dup := opts.Params["format"]; !dup {
 			p := make(map[string]string, len(opts.Params)+1)
@@ -202,10 +180,10 @@ func OpenSession(backend string, c *comm.Comm, opts SessionOptions) (*Session, e
 	sort.Strings(keys)
 	for _, k := range keys {
 		if code := solver.Set(k, opts.Params[k]); code != OK {
-			if (k == "workers" || k == "format") && code == ErrUnknownKey {
-				// The backend has no intra-rank parallelism or format
-				// selection (e.g. a registry extension): the request
-				// degrades to the legacy serial/CSR path.
+			if k == "format" && code == ErrUnknownKey {
+				// The backend has no format selection (e.g. a registry
+				// extension): the request degrades to the legacy CSR
+				// path.
 				continue
 			}
 			return nil, fmt.Errorf("core: session set %s=%s: %w", k, opts.Params[k], Check(code))
@@ -448,13 +426,6 @@ func (s *Session) solveOnce(ctx context.Context, x []float64) (SolveResult, erro
 	if abortCause != nil {
 		s.dead = true
 		s.aborted++
-		// The session is dead and will refuse every further call, so
-		// nothing can rebuild the component's resources: release them
-		// now (worker-pool goroutines must not outlive the Run region
-		// even when the caller never reaches Close).
-		if rh, ok := s.solver.(resourceHolder); ok {
-			rh.releaseResources()
-		}
 		reason := "canceled"
 		switch {
 		case errors.Is(abortCause, comm.ErrInjectedFault):
@@ -546,9 +517,6 @@ func (s *Session) failoverTo(name string) error {
 			return Check(code)
 		}
 	}
-	if rh, ok := s.solver.(resourceHolder); ok {
-		rh.releaseResources()
-	}
 	s.solver = solver
 	s.info = info
 	s.rec.SetLabel("backend", info.Name)
@@ -615,21 +583,6 @@ func (s *Session) Stats() (solves, aborted int) { return s.solves, s.aborted }
 // Failovers returns how many backend switches this session performed.
 func (s *Session) Failovers() int { return s.failovers }
 
-// resolveWorkers turns the SessionOptions.Workers field (or, when that
-// is zero, the LISI_WORKERS environment variable) into a worker count;
-// 0 means "no request".
-func resolveWorkers(w int) int {
-	if w > 0 {
-		return w
-	}
-	if v := os.Getenv("LISI_WORKERS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 1 {
-			return n
-		}
-	}
-	return 0
-}
-
 // resolveFormat turns the SessionOptions.Format field (or, when that is
 // empty, the LISI_FORMAT environment variable) into a format parameter
 // value; "" means "no request". Unparseable values are dropped here —
@@ -647,24 +600,13 @@ func resolveFormat(f string) string {
 	return ""
 }
 
-// resourceHolder is implemented by components that own releasable
-// resources (today: the intra-rank worker pool); Close and failover
-// release them so sessions never leak pool goroutines.
-type resourceHolder interface {
-	releaseResources()
-}
-
-// Close ends the session. The component is released (worker pools are
-// shut down); further calls return ErrSessionClosed. Close is
-// idempotent.
+// Close ends the session. The component is released; further calls
+// return ErrSessionClosed. Close is idempotent.
 func (s *Session) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
-	if rh, ok := s.solver.(resourceHolder); ok {
-		rh.releaseResources()
-	}
 	s.solver = nil
 	return nil
 }

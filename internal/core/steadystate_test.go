@@ -96,7 +96,7 @@ func TestSessionSolveSteadyStateAllocs(t *testing.T) {
 // TestSessionSolveSteadyStateAllocsFormats re-runs the steady-state
 // allocation gate with the SpMV format knob engaged: once the first
 // Solve has probed (for auto) and bound the format kernels, the
-// per-solve SetFormat call must hit the (choice, pool) cache and later
+// per-solve SetFormat call must hit the format-choice cache and later
 // solves must stay under the same budget for every backend × format.
 func TestSessionSolveSteadyStateAllocsFormats(t *testing.T) {
 	for _, tc := range []struct {

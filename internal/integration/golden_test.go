@@ -1,6 +1,6 @@
 // Golden conformance suite: every workload-corpus family solved by
 // every applicable backend must produce bitwise-identical solutions
-// across worker counts and SpMV formats (checked unconditionally,
+// across SpMV formats (checked unconditionally,
 // in-process), and the resulting solution digest must match the
 // checked-in golden record (checked when the recorded GOARCH matches,
 // since float rounding may differ across architectures). Regenerate
@@ -125,7 +125,7 @@ func mmGoldenSystem(path string) func(t *testing.T) (*sparse.CSR, []float64) {
 
 // goldenSolve runs one full distributed solve and returns the gathered
 // global solution bits and the iteration count.
-func goldenSolve(t *testing.T, fam goldenFamily, be goldenBackend, workers int, format string) ([]uint64, int) {
+func goldenSolve(t *testing.T, fam goldenFamily, be goldenBackend, format string) ([]uint64, int) {
 	t.Helper()
 	a, rhs := fam.system(t)
 	w, err := comm.NewWorld(fam.procs)
@@ -142,9 +142,8 @@ func goldenSolve(t *testing.T, fam goldenFamily, be goldenBackend, workers int, 
 		localA := a.SubMatrix(l.Start, l.Start+l.LocalN)
 		localB := rhs[l.Start : l.Start+l.LocalN]
 		s, err := core.OpenSession(be.name, c, core.SessionOptions{
-			Params:  be.params,
-			Workers: workers,
-			Format:  format,
+			Params: be.params,
+			Format: format,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -162,8 +161,8 @@ func goldenSolve(t *testing.T, fam goldenFamily, be goldenBackend, workers int, 
 			t.Fatal(err)
 		}
 		if !res.Converged {
-			t.Fatalf("%s/%s workers=%d format=%s did not converge: %s",
-				fam.name, be.name, workers, format, res.FailReason)
+			t.Fatalf("%s/%s format=%s did not converge: %s",
+				fam.name, be.name, format, res.FailReason)
 		}
 		full := pmat.Gather(l, 0, x)
 		if c.Rank() == 0 {
@@ -196,7 +195,7 @@ func goldenDigest(bits []uint64, iterations int) string {
 }
 
 // TestGoldenConformance is the corpus-wide pin: for every family ×
-// backend, all workers × format configurations must agree bitwise, and
+// backend, all format configurations must agree bitwise, and
 // the agreed digest must match the golden record on its architecture.
 func TestGoldenConformance(t *testing.T) {
 	update := os.Getenv("LISI_UPDATE_GOLDEN") != ""
@@ -219,28 +218,22 @@ func TestGoldenConformance(t *testing.T) {
 	}
 
 	got := map[string]string{}
-	workerCounts := []int{1, 4}
 	formats := []string{"csr", "sell", "msr"}
 	for _, fam := range goldenFamilies() {
 		for _, be := range fam.backends {
 			key := fam.name + "/" + be.name
 			t.Run(key, func(t *testing.T) {
-				refBits, refIters := goldenSolve(t, fam, be, workerCounts[0], formats[0])
-				for _, wk := range workerCounts {
-					for _, format := range formats {
-						if wk == workerCounts[0] && format == formats[0] {
-							continue
-						}
-						bits, iters := goldenSolve(t, fam, be, wk, format)
-						if iters != refIters {
-							t.Fatalf("workers=%d format=%s: %d iterations, reference %d",
-								wk, format, iters, refIters)
-						}
-						for i := range bits {
-							if bits[i] != refBits[i] {
-								t.Fatalf("workers=%d format=%s: x[%d] = %x, reference %x",
-									wk, format, i, bits[i], refBits[i])
-							}
+				refBits, refIters := goldenSolve(t, fam, be, formats[0])
+				for _, format := range formats[1:] {
+					bits, iters := goldenSolve(t, fam, be, format)
+					if iters != refIters {
+						t.Fatalf("format=%s: %d iterations, reference %d",
+							format, iters, refIters)
+					}
+					for i := range bits {
+						if bits[i] != refBits[i] {
+							t.Fatalf("format=%s: x[%d] = %x, reference %x",
+								format, i, bits[i], refBits[i])
 						}
 					}
 				}

@@ -1,11 +1,16 @@
 package ksp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/sparse"
 )
+
+// ErrZeroPivot reports a zero (or numerically tiny) pivot in an
+// incomplete factorization; NewILU0 wraps it with the failing row.
+var ErrZeroPivot = errors.New("ksp: ILU0: zero pivot")
 
 // ILU0 holds an incomplete LU factorization with zero fill of a local
 // (serial) CSR matrix: L is unit lower triangular, U upper triangular,
@@ -52,7 +57,7 @@ func NewILU0(a *sparse.CSR) (*ILU0, error) {
 			piv := f.Vals[diagPos[j]]
 			if math.Abs(piv) < 1e-300 {
 				clearPos(pos, f, lo, hi)
-				return nil, fmt.Errorf("ksp: ILU0: zero pivot at row %d", j)
+				return nil, fmt.Errorf("%w at row %d", ErrZeroPivot, j)
 			}
 			lij := f.Vals[k] / piv
 			f.Vals[k] = lij
@@ -65,7 +70,7 @@ func NewILU0(a *sparse.CSR) (*ILU0, error) {
 		}
 		if math.Abs(f.Vals[diagPos[i]]) < 1e-300 {
 			clearPos(pos, f, lo, hi)
-			return nil, fmt.Errorf("ksp: ILU0: zero pivot at row %d", i)
+			return nil, fmt.Errorf("%w at row %d", ErrZeroPivot, i)
 		}
 		clearPos(pos, f, lo, hi)
 	}

@@ -1,15 +1,20 @@
 package ksp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/comm"
-	"repro/internal/par"
 	"repro/internal/pmat"
 	"repro/internal/sparse"
 	"repro/internal/telemetry"
 )
+
+// ErrDiverged reports a solve that stopped without converging; Solve
+// wraps it with the ConvergedReason, the iteration count and the final
+// residual norm.
+var ErrDiverged = errors.New("ksp: solve diverged")
 
 // ConvergedReason explains why a solve stopped, following PETSc's
 // KSPConvergedReason vocabulary (positive = converged, negative =
@@ -104,29 +109,13 @@ type KSP struct {
 	pcObj PC
 
 	rec *telemetry.Recorder
-
-	// pool is the intra-rank worker pool (nil = legacy serial path):
-	// the local halves of all reductions route through its fixed-slot
-	// fold, and the assembled operator's product row-partitions on it.
-	pool *par.Pool
-}
-
-// SetPool attaches an intra-rank worker pool (nil restores the serial
-// path). The pool is caller-owned; call after SetOperators so the
-// assembled operator's distributed product inherits it. Idempotent,
-// safe to call every solve.
-func (k *KSP) SetPool(p *par.Pool) {
-	k.pool = p
-	if k.a != nil && k.a.pm != nil {
-		k.a.pm.SetPool(p)
-	}
 }
 
 // SetFormat selects the local SpMV storage format for the assembled
 // operator's distributed product (no-op for shell operators). Cached on
-// (choice, pool) inside the matrix, so calling every solve is free in
+// the choice inside the matrix, so calling every solve is free in
 // steady state; the bool reports whether a (re)bind happened. Call
-// after SetOperators and SetPool.
+// after SetOperators.
 func (k *KSP) SetFormat(fc sparse.FormatChoice) (pmat.FormatInfo, bool) {
 	if k.a != nil && k.a.pm != nil {
 		return k.a.pm.SetFormat(fc)
@@ -304,7 +293,7 @@ func (k *KSP) Solve(b, x []float64) error {
 		return err
 	}
 	if !k.reason.Converged() {
-		return fmt.Errorf("ksp: solve diverged: %v (it %d, rnorm %.3e)", k.reason, k.its, k.rnorm)
+		return fmt.Errorf("%w: %v (it %d, rnorm %.3e)", ErrDiverged, k.reason, k.its, k.rnorm)
 	}
 	return nil
 }
@@ -333,47 +322,16 @@ func (k *KSP) testConvergence(it int, rnorm, rnorm0 float64) bool {
 	return true
 }
 
+// dot and norm2 are the global reductions: the local sparse.Dot and
+// sparse.Norm2 folded across ranks in rank order. Every global reduction
+// in this package — these, the fused* helpers and the Gram–Schmidt
+// projections — uses the same local kernels, so the rank-order fold
+// audited in docs/PERFORMANCE.md holds for all of them.
 func (k *KSP) dot(x, y []float64) float64 {
-	return k.c.AllReduceFloat64(k.lDot(x, y), comm.OpSum)
+	return k.c.AllReduceFloat64(sparse.Dot(x, y), comm.OpSum)
 }
 
 func (k *KSP) norm2(x []float64) float64 {
-	local := k.lNorm2(x)
+	local := sparse.Norm2(x)
 	return math.Sqrt(k.c.AllReduceFloat64(local*local, comm.OpSum))
-}
-
-// lDot and lNorm2 are the local halves of the global reductions: with a
-// pool attached they use the fixed-slot partial fold (layout a function
-// of the vector length alone, folded in slot order — bitwise-identical
-// for every worker count), without one they are exactly sparse.Dot and
-// sparse.Norm2. Every global reduction in this package — dot, norm2,
-// the fused* helpers and the Gram–Schmidt projections (lMDot) — funnels
-// through them, so the rank-order fold audited in docs/PERFORMANCE.md
-// is unchanged.
-func (k *KSP) lDot(x, y []float64) float64 {
-	if k.pool != nil {
-		return k.pool.Dot(x, y)
-	}
-	return sparse.Dot(x, y)
-}
-
-func (k *KSP) lNorm2(x []float64) float64 {
-	if k.pool != nil {
-		return k.pool.Norm2(x)
-	}
-	return sparse.Norm2(x)
-}
-
-// lMDot is the multi-column lDot, h[i] = x·v[i]. Pooled, it is one
-// pool.Dot per column (the fixed-slot fold, so the worker-count
-// contract is pool.Dot's own); serial, it is sparse.MDot, bitwise equal
-// to sparse.Dot column by column.
-func (k *KSP) lMDot(x []float64, v [][]float64, h []float64) {
-	if k.pool == nil {
-		sparse.MDot(x, v, h)
-		return
-	}
-	for i := range v {
-		h[i] = k.pool.Dot(x, v[i])
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/comm"
+	"repro/internal/sparse"
 )
 
 // solveWorkspace is the per-KSP scratch that the Krylov methods reuse
@@ -79,9 +80,9 @@ func (k *KSP) wsKrylov(n, m int, flexible bool) *solveWorkspace {
 // bitwise identical to the unfused pair — only the collective count
 // changes (see docs/PERFORMANCE.md for the fusion policy).
 func (k *KSP) fusedNormDot(a, b []float64) (norm, dot float64) {
-	local := k.lNorm2(a)
+	local := sparse.Norm2(a)
 	k.ws.red[0] = local * local
-	k.ws.red[1] = k.lDot(a, b)
+	k.ws.red[1] = sparse.Dot(a, b)
 	k.c.AllReduceFloat64sInPlace(k.ws.red[:], comm.OpSum)
 	return math.Sqrt(k.ws.red[0]), k.ws.red[1]
 }
@@ -89,8 +90,8 @@ func (k *KSP) fusedNormDot(a, b []float64) (norm, dot float64) {
 // fusedDot2 returns (a1·b1, a2·b2) with one AllReduce, bitwise identical
 // to two consecutive pmat.Dot calls.
 func (k *KSP) fusedDot2(a1, b1, a2, b2 []float64) (float64, float64) {
-	k.ws.red[0] = k.lDot(a1, b1)
-	k.ws.red[1] = k.lDot(a2, b2)
+	k.ws.red[0] = sparse.Dot(a1, b1)
+	k.ws.red[1] = sparse.Dot(a2, b2)
 	k.c.AllReduceFloat64sInPlace(k.ws.red[:], comm.OpSum)
 	return k.ws.red[0], k.ws.red[1]
 }
@@ -102,7 +103,7 @@ func (k *KSP) fusedDot2(a1, b1, a2, b2 []float64) (float64, float64) {
 // neutral.
 func (k *KSP) fusedMDot(x []float64, v [][]float64) []float64 {
 	h := k.ws.hj[:len(v)]
-	k.lMDot(x, v, h)
+	sparse.MDot(x, v, h)
 	k.c.AllReduceFloat64sInPlace(h, comm.OpSum)
 	return h
 }

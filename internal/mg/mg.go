@@ -13,15 +13,23 @@
 package mg
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/comm"
 	"repro/internal/mesh"
-	"repro/internal/par"
 	"repro/internal/pmat"
 	"repro/internal/sparse"
 	"repro/internal/telemetry"
+)
+
+// Solve failures: ErrDiverged when the residual turns non-finite,
+// ErrNoConvergence when MaxCycles V-cycles miss the tolerance. Solve
+// wraps each with the cycle count.
+var (
+	ErrDiverged      = errors.New("mg: diverged")
+	ErrNoConvergence = errors.New("mg: no convergence")
 )
 
 // CoarseSolve solves the (small, gathered) coarsest system on every rank
@@ -107,26 +115,6 @@ type Solver struct {
 	cycles  int
 	rnorm   float64
 	rec     *telemetry.Recorder
-	pool    *par.Pool
-	jac     jacobiTask
-}
-
-// SetPool attaches an intra-rank worker pool to every level's operator
-// applies (fine and transfer operators) and to the damped-Jacobi
-// smoother update. The update is element-wise, so a static partition is
-// bitwise-neutral: results are identical for any worker count.
-// Idempotent and cheap, so callers may invoke it per solve.
-func (s *Solver) SetPool(p *par.Pool) {
-	s.pool = p
-	for _, lvl := range s.levels {
-		lvl.a.SetPool(p)
-		if lvl.restrict != nil {
-			lvl.restrict.SetPool(p)
-		}
-		if lvl.prolong != nil {
-			lvl.prolong.SetPool(p)
-		}
-	}
 }
 
 // SetFormat selects the local SpMV storage format for every level's
@@ -158,19 +146,6 @@ func (s *Solver) SetFormat(fc sparse.FormatChoice) (pmat.FormatInfo, bool) {
 	fine.ProbeNS = probeNS
 	fine.Probed = probed
 	return fine, changed
-}
-
-// jacobiTask is one damped-Jacobi update x ← x + ω·D⁻¹(b − A·x) with the
-// residual A·x already in r; each index is written by exactly one slot.
-type jacobiTask struct {
-	x, b, r, invDiag []float64
-	omega            float64
-}
-
-func (t *jacobiTask) Range(_, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		t.x[i] += t.omega * (t.b[i] - t.r[i]) * t.invDiag[i]
-	}
 }
 
 // SetRecorder attaches a telemetry recorder: the cycling loop is timed
@@ -404,24 +379,17 @@ func (s *Solver) Solve(b, x []float64) error {
 			return nil
 		}
 		if math.IsNaN(res) || math.IsInf(res, 0) {
-			return fmt.Errorf("mg: diverged at cycle %d", cycle)
+			return fmt.Errorf("%w at cycle %d", ErrDiverged, cycle)
 		}
 	}
-	return fmt.Errorf("mg: no convergence in %d cycles (relative residual %.3e)", s.opts.MaxCycles, s.rnorm/bnorm)
+	return fmt.Errorf("%w in %d cycles (relative residual %.3e)", ErrNoConvergence, s.opts.MaxCycles, s.rnorm/bnorm)
 }
 
-// smooth performs sweeps of damped Jacobi: x ← x + ω·D⁻¹(b − A·x). With
-// a parallel pool the element-wise update fans out across workers.
+// smooth performs sweeps of damped Jacobi: x ← x + ω·D⁻¹(b − A·x).
 func (s *Solver) smooth(lvl *level, b, x []float64, sweeps int) {
 	omega := s.opts.Omega
 	for n := 0; n < sweeps; n++ {
 		lvl.a.Apply(lvl.r, x)
-		if s.pool.Parallel() {
-			s.jac = jacobiTask{x: x, b: b, r: lvl.r, invDiag: lvl.invDiag, omega: omega}
-			s.pool.Run(len(x), &s.jac)
-			s.jac = jacobiTask{}
-			continue
-		}
 		for i := range x {
 			x[i] += omega * (b[i] - lvl.r[i]) * lvl.invDiag[i]
 		}

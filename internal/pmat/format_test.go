@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/comm"
-	"repro/internal/par"
 	"repro/internal/sparse"
 )
 
@@ -19,13 +18,12 @@ var formatChoices = []sparse.FormatChoice{
 
 // TestSetFormatBitwiseAcrossFormats checks the load-bearing contract of
 // the autotuner: for a fixed distribution, the distributed product is
-// byte-identical no matter which format is bound and how many workers
-// partition it.
+// byte-identical no matter which format is bound.
 func TestSetFormatBitwiseAcrossFormats(t *testing.T) {
 	global := sparse.Laplace2D(9, 7) // n = 63
 	x := sparse.RandomVector(63, 11)
 	for _, p := range []int{1, 3} {
-		// Reference: same distribution, legacy CSR kernels, serial.
+		// Reference: same distribution, legacy CSR kernels.
 		want := make([]float64, 63)
 		run(t, p, func(c *comm.Comm) {
 			l, m := distribute(c, global)
@@ -38,32 +36,27 @@ func TestSetFormatBitwiseAcrossFormats(t *testing.T) {
 			}
 		})
 		for _, fc := range formatChoices {
-			for _, workers := range []int{1, 2, 4} {
-				run(t, p, func(c *comm.Comm) {
-					l, m := distribute(c, global)
-					pool := par.New(workers)
-					defer pool.Close()
-					m.SetPool(pool)
-					info, changed := m.SetFormat(fc)
-					if fc != sparse.ChoiceCSR && !changed {
-						t.Fatalf("SetFormat(%v) reported no rebind on first call", fc)
+			run(t, p, func(c *comm.Comm) {
+				l, m := distribute(c, global)
+				info, changed := m.SetFormat(fc)
+				if fc != sparse.ChoiceCSR && !changed {
+					t.Fatalf("SetFormat(%v) reported no rebind on first call", fc)
+				}
+				if fc == sparse.ChoiceCSR && info.Interior != sparse.FmtCSR {
+					t.Fatalf("ChoiceCSR bound %v", info.Interior)
+				}
+				xl := Scatter(l, 0, mapRoot(c, x))
+				yl := make([]float64, l.LocalN)
+				m.Apply(yl, xl)
+				got := AllGather(l, yl)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("p=%d fc=%v: y[%d] = %v (%x), want %v (%x)",
+							p, fc, i, got[i],
+							math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 					}
-					if fc == sparse.ChoiceCSR && info.Interior != sparse.FmtCSR {
-						t.Fatalf("ChoiceCSR bound %v", info.Interior)
-					}
-					xl := Scatter(l, 0, mapRoot(c, x))
-					yl := make([]float64, l.LocalN)
-					m.Apply(yl, xl)
-					got := AllGather(l, yl)
-					for i := range want {
-						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-							t.Fatalf("p=%d fc=%v w=%d: y[%d] = %v (%x), want %v (%x)",
-								p, fc, workers, i, got[i],
-								math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -92,15 +85,12 @@ func TestSetFormatFallbacks(t *testing.T) {
 	})
 }
 
-// TestSetFormatCaching checks the (choice, pool) cache: repeated
-// SetPool/SetFormat with unchanged inputs is an allocation-free no-op,
-// and changing either input triggers exactly one rebind.
+// TestSetFormatCaching checks the choice cache: repeated SetFormat
+// with an unchanged choice is an allocation-free no-op, and changing
+// the choice triggers exactly one rebind.
 func TestSetFormatCaching(t *testing.T) {
 	run(t, 1, func(c *comm.Comm) {
 		_, m := distribute(c, sparse.Laplace2D(8, 8))
-		pool := par.New(3)
-		defer pool.Close()
-		m.SetPool(pool)
 		if _, changed := m.SetFormat(sparse.ChoiceSELL); !changed {
 			t.Fatal("first SetFormat did not bind")
 		}
@@ -108,22 +98,18 @@ func TestSetFormatCaching(t *testing.T) {
 			t.Fatal("repeated SetFormat rebound")
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			m.SetPool(pool)
 			if _, changed := m.SetFormat(sparse.ChoiceSELL); changed {
 				t.Fatal("steady-state SetFormat rebound")
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("steady-state SetPool+SetFormat allocates %v/op", allocs)
+			t.Fatalf("steady-state SetFormat allocates %v/op", allocs)
 		}
-		// A pool change must re-bind (chunk tuning and scratch depend on
-		// the worker count).
-		m.SetPool(nil)
-		if m.Format().Interior != sparse.FmtSELL {
-			t.Fatalf("pool change lost the format: %+v", m.Format())
+		if _, changed := m.SetFormat(sparse.ChoiceMSR); !changed {
+			t.Fatal("choice change did not rebind")
 		}
-		if _, changed := m.SetFormat(sparse.ChoiceSELL); changed {
-			t.Fatal("SetFormat rebound after SetPool already rebound")
+		if m.Format().Interior != sparse.FmtMSR {
+			t.Fatalf("choice change bound %+v, want MSR interior", m.Format())
 		}
 	})
 }

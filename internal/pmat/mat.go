@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/comm"
-	"repro/internal/par"
 	"repro/internal/sparse"
 )
 
@@ -59,21 +58,18 @@ type Mat struct {
 	xext []float64 // scratch: [local x | ghosts]
 	rres []float64 // scratch for Residual
 
-	// pool is the intra-rank worker pool for the row-parallel products
-	// (nil = serial). intSpMV/bndSpMV are the persistent kernels bound
-	// to interior and boundary — in whatever storage format the
-	// "format" selection below picked — so Apply allocates nothing;
-	// unit partitioning keeps every product bitwise-identical to the
-	// serial CSR path for any format and worker count.
-	pool    *par.Pool
-	intSpMV sparse.ParSpMV
-	bndSpMV sparse.ParSpMV
+	// intSpMV/bndSpMV are the persistent kernels bound to interior and
+	// boundary — in whatever storage format the "format" selection
+	// below picked — so Apply allocates nothing; every binding is
+	// bitwise-identical to the serial CSR path.
+	intSpMV sparse.BoundSpMV
+	bndSpMV sparse.BoundSpMV
 
 	// format is the requested SpMV storage selection (zero value =
 	// legacy CSR); fmtBound records whether the kernels are currently
-	// bound for (format, pool), the cache key that keeps steady-state
-	// SetPool/SetFormat calls allocation-free no-ops. fmtInfo is the
-	// decision report for telemetry.
+	// bound for format, the cache key that keeps steady-state SetFormat
+	// calls allocation-free no-ops. fmtInfo is the decision report for
+	// telemetry.
 	format   sparse.FormatChoice
 	fmtBound bool
 	fmtInfo  FormatInfo
@@ -89,30 +85,13 @@ type FormatInfo struct {
 	Probed   bool          // true when at least one block was probed by timing
 }
 
-// SetPool attaches an intra-rank worker pool to the row-parallel
-// products (nil restores the serial path). The pool is caller-owned:
-// the matrix never closes it. Idempotent and cheap, so components may
-// call it every solve. A pool change re-binds the format kernels: the
-// SELL chunk height and per-slot scratch are tuned to the worker
-// count.
-func (m *Mat) SetPool(p *par.Pool) {
-	if m.pool == p {
-		if !m.fmtBound {
-			m.rebind()
-		}
-		return
-	}
-	m.pool = p
-	m.rebind()
-}
-
 // SetFormat selects the local SpMV storage format (local-only, no
 // collectives): sparse.ChoiceCSR keeps the legacy CSR kernels,
 // ChoiceAuto runs the sparse.ProbeFormats autotuner on the actual
 // interior and boundary blocks and binds each winner, and a forced
 // choice binds that kernel where the block's structure admits it (CSR
 // otherwise — e.g. MSR on a rectangular block). The binding is cached
-// on (choice, pool), so steady-state calls are allocation-free no-ops;
+// on the choice, so steady-state calls are allocation-free no-ops;
 // the returned bool reports whether a (re)bind happened. Every
 // bindable kernel is bitwise-identical to serial CSR, so ranks may
 // probe to different winners without any cross-rank agreement.
@@ -129,33 +108,29 @@ func (m *Mat) SetFormat(fc sparse.FormatChoice) (FormatInfo, bool) {
 func (m *Mat) Format() FormatInfo { return m.fmtInfo }
 
 // rebind (re)binds the interior/boundary kernels for the current
-// (format, pool) pair.
+// format.
 func (m *Mat) rebind() {
-	workers := 1
-	if m.pool != nil {
-		workers = m.pool.Workers()
-	}
 	intChoice, bndChoice := m.format, m.format
 	m.fmtInfo = FormatInfo{}
 	if m.format == sparse.ChoiceAuto {
-		ires := sparse.ProbeFormats(m.interior, false, m.pool)
-		bres := sparse.ProbeFormats(m.boundary, true, m.pool)
+		ires := sparse.ProbeFormats(m.interior, false)
+		bres := sparse.ProbeFormats(m.boundary, true)
 		intChoice, bndChoice = ires.Choice, bres.Choice
 		m.fmtInfo.ProbeNS = ires.TotalNS + bres.TotalNS
 		m.fmtInfo.Probed = !ires.Heuristic || !bres.Heuristic
 	}
-	m.fmtInfo.Interior = bindKernel(&m.intSpMV, m.interior, false, intChoice, workers)
-	m.fmtInfo.Boundary = bindKernel(&m.bndSpMV, m.boundary, true, bndChoice, workers)
+	m.fmtInfo.Interior = bindKernel(&m.intSpMV, m.interior, false, intChoice)
+	m.fmtInfo.Boundary = bindKernel(&m.bndSpMV, m.boundary, true, bndChoice)
 	m.fmtBound = true
 }
 
 // bindKernel binds one block in the chosen format, falling back to CSR
 // when the block's structure does not admit the choice, and reports
 // what was bound.
-func bindKernel(k *sparse.ParSpMV, a *sparse.CSR, add bool, fc sparse.FormatChoice, workers int) sparse.Format {
+func bindKernel(k *sparse.BoundSpMV, a *sparse.CSR, add bool, fc sparse.FormatChoice) sparse.Format {
 	switch fc {
 	case sparse.ChoiceSELL:
-		k.BindSELL(sparse.SELLFromCSR(a, sparse.TunedSELLChunk(a.Rows, workers)), add, workers)
+		k.BindSELL(sparse.SELLFromCSR(a, sparse.DefaultSELLChunk), add)
 		return sparse.FmtSELL
 	case sparse.ChoiceMSR:
 		if a.Rows == a.Cols {
@@ -228,7 +203,7 @@ func NewMatRect(rowL, colL *Layout, localRows *sparse.CSR) (*Mat, error) {
 	if err := m.splitInteriorBoundary(); err != nil {
 		return nil, fmt.Errorf("pmat: NewMatRect: %v", err)
 	}
-	m.rebind() // bind the default (CSR, serial) kernels
+	m.rebind() // bind the default CSR kernels
 
 	m.buildPlan()
 	m.sendBuf = make([][]float64, len(m.sendIdx))
@@ -349,11 +324,9 @@ func (m *Mat) Apply(y, x []float64) {
 	}
 
 	// Interior product while the ghost values travel. The persistent
-	// kernel carries whatever format SetFormat bound; it is partitioned
-	// per worker yet bitwise-identical to the serial CSR product for
-	// every format and worker count (a nil pool runs it inline), and
-	// comm stays on this goroutine either way.
-	m.intSpMV.Apply(m.pool, y, x)
+	// kernel carries whatever format SetFormat bound, bitwise-identical
+	// to the serial CSR product for every format.
+	m.intSpMV.Apply(y, x)
 
 	// Collect ghosts straight into their segment of the ghost buffer and
 	// add the boundary contribution.
@@ -368,7 +341,7 @@ func (m *Mat) Apply(y, x []float64) {
 		}
 	}
 	if m.boundary.NNZ() > 0 {
-		m.bndSpMV.Apply(m.pool, y, ghosts)
+		m.bndSpMV.Apply(y, ghosts)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/comm"
-	"repro/internal/par"
 	"repro/internal/sparse"
 )
 
@@ -118,45 +117,5 @@ func BenchmarkApplyAllocs(b *testing.B) {
 		}
 	}); err != nil {
 		b.Fatal(err)
-	}
-}
-
-// BenchmarkApplyWorkers measures the intra-rank worker pool on the
-// local SpMV: one rank (no ghost traffic), row-parallel interior
-// product. w=1 must stay within noise of the serial path and both
-// variants must stay allocation-free in steady state —
-// scripts/benchguard.sh gates the allocs/op of every sub-benchmark at
-// zero.
-func BenchmarkApplyWorkers(b *testing.B) {
-	global := sparse.Laplace2D(120, 120) // n = 14,400
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("w=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			w, err := comm.NewWorld(1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(global.NNZ() * 8))
-			if err := w.Run(func(c *comm.Comm) {
-				l, m := distribute(c, global)
-				p := par.New(workers)
-				defer p.Close()
-				m.SetPool(p)
-				x := make([]float64, l.LocalN)
-				y := make([]float64, l.LocalN)
-				for i := range x {
-					x[i] = 1
-				}
-				for i := 0; i < 4; i++ {
-					m.Apply(y, x) // warm the pool and the plan buffers
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					m.Apply(y, x)
-				}
-			}); err != nil {
-				b.Fatal(err)
-			}
-		})
 	}
 }

@@ -145,12 +145,6 @@ type SolveRequest struct {
 	Params map[string]string `json:"params,omitempty"`
 	// Procs is the SPMD world size of the pooled session (default 1).
 	Procs int `json:"procs,omitempty"`
-	// Workers is the intra-rank worker-pool size for the backend's hot
-	// kernels (second parallelism level under the SPMD ranks; default
-	// from the server's -workers flag, normally 1). Results are
-	// bitwise-identical for every worker count, so this is a pure
-	// performance knob; it is part of the session-pool key.
-	Workers int `json:"workers,omitempty"`
 	// Format selects the local SpMV storage format for the backend's
 	// distributed products: "auto" (probe at setup), "csr", "msr", or
 	// "sell"; empty takes the server's -format flag

@@ -21,7 +21,6 @@ type entrySpec struct {
 	tenant  string
 	backend string
 	procs   int
-	workers int
 	format  string
 	n       int
 	params  map[string]string
@@ -189,7 +188,6 @@ func (e *entry) setupRank(c *comm.Comm) (s *core.Session, l *pmat.Layout, err er
 		Recorder:     e.rec,
 		SolveTimeout: e.spec.timeout,
 		Params:       e.spec.params,
-		Workers:      e.spec.workers,
 		Format:       e.spec.format,
 		MaxAttempts:  e.spec.maxAttempts,
 		RetryBackoff: e.spec.retryBackoff,

@@ -22,11 +22,6 @@ type Config struct {
 	// MaxProcs bounds what a request may ask for.
 	DefaultProcs int
 	MaxProcs     int
-	// DefaultWorkers is the intra-rank worker-pool size used when a
-	// request omits workers (normally 1, i.e. serial kernels);
-	// MaxWorkers bounds what a request may ask for.
-	DefaultWorkers int
-	MaxWorkers     int
 	// DefaultFormat is the SpMV storage format used when a request
 	// omits format ("" keeps the legacy CSR kernels; "auto" probes
 	// per pooled operator at setup).
@@ -81,8 +76,6 @@ func (c Config) withDefaults() Config {
 	}
 	def(&c.DefaultProcs, 1)
 	def(&c.MaxProcs, 8)
-	def(&c.DefaultWorkers, 1)
-	def(&c.MaxWorkers, 16)
 	def(&c.MaxSessions, 64)
 	def(&c.QueueDepth, 32)
 	def(&c.MaxPending, 1024)
@@ -535,7 +528,6 @@ func (s *Service) buildSpec(req *SolveRequest) (entrySpec, *Error) {
 		tenant:       req.Tenant,
 		backend:      req.Backend,
 		procs:        req.procs(s.cfg.DefaultProcs),
-		workers:      req.workers(s.cfg.DefaultWorkers),
 		format:       req.format(s.cfg.DefaultFormat),
 		params:       req.Params,
 		opID:         req.Operator.ID,
@@ -720,9 +712,6 @@ func (s *Service) validate(req *SolveRequest) *Error {
 	if req.Procs < 0 || req.procs(s.cfg.DefaultProcs) > s.cfg.MaxProcs {
 		return errf(CodeBadRequest, 400, false, "procs %d outside [1,%d]", req.Procs, s.cfg.MaxProcs)
 	}
-	if req.Workers < 0 || req.workers(s.cfg.DefaultWorkers) > s.cfg.MaxWorkers {
-		return errf(CodeBadRequest, 400, false, "workers %d outside [1,%d]", req.Workers, s.cfg.MaxWorkers)
-	}
 	if f := req.format(s.cfg.DefaultFormat); f != "" {
 		if _, err := sparse.ParseFormatChoice(f); err != nil {
 			return errf(CodeBadRequest, 400, false, "format %q: %v", f, err)
@@ -775,14 +764,6 @@ func (r *SolveRequest) procs(def int) int {
 	return r.Procs
 }
 
-// workers returns the request's effective intra-rank worker count.
-func (r *SolveRequest) workers(def int) int {
-	if r.Workers <= 0 {
-		return def
-	}
-	return r.Workers
-}
-
 // format returns the request's effective SpMV format selection ("" =
 // the legacy CSR path).
 func (r *SolveRequest) format(def string) string {
@@ -801,7 +782,7 @@ func (r *SolveRequest) key() string {
 		return r.poolKey
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%s|p%d|w%d|f%s|%s@%d", r.Tenant, r.Backend, r.Procs, r.Workers, r.Format, r.Operator.ID, r.Operator.Version)
+	fmt.Fprintf(&b, "%s|%s|p%d|f%s|%s@%d", r.Tenant, r.Backend, r.Procs, r.Format, r.Operator.ID, r.Operator.Version)
 	keys := make([]string, 0, len(r.Params))
 	for k := range r.Params {
 		keys = append(keys, k)

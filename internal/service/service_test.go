@@ -654,6 +654,8 @@ func TestServiceMatrixMarketRejections(t *testing.T) {
 		{"pattern field", mmReq("%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 1\n2 2\n"), service.CodeBadRequest},
 		{"malformed header", mmReq("%%MatrixMarket tensor coordinate real general\n1 1 1\n1 1 1\n"), service.CodeBadRequest},
 		{"non-square", mmReq("%%MatrixMarket matrix coordinate real general\n2 3 1\n1 1 1.0\n"), service.CodeBadRequest},
+		{"nan entry", mmReq("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 nan\n2 2 1.0\n"), service.CodeBadRequest},
+		{"inf entry", mmReq("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 2.0\n2 2 -inf\n"), service.CodeBadRequest},
 		{"exclusive with grid_n", func() *service.SolveRequest {
 			r := mmReq("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1.0\n")
 			r.Operator.GridN = 4
@@ -669,6 +671,9 @@ func TestServiceMatrixMarketRejections(t *testing.T) {
 			}
 			if serr.Code != tc.code || serr.HTTPStatus() != 400 {
 				t.Fatalf("got %s/%d, want %s/400 (%v)", serr.Code, serr.HTTPStatus(), tc.code, serr)
+			}
+			if n := svc.Stats().Sessions; n != 0 {
+				t.Fatalf("a rejected operator opened %d session(s)", n)
 			}
 		})
 	}

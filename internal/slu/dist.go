@@ -1,8 +1,10 @@
 package slu
 
 import (
+	"errors"
 	"fmt"
 
+	"repro/internal/comm"
 	"repro/internal/pmat"
 	"repro/internal/sparse"
 	"repro/internal/telemetry"
@@ -56,22 +58,23 @@ func NewDistSolver(m *pmat.Mat, opts Options) (*DistSolver, error) {
 	// assembly cost is dominated by the factorization, and the gather is
 	// itself the collective every rank must join.
 	global := m.GatherGlobal()
-	errText := ""
+	nnz := -1
+	var rootErr error
 	if c.Rank() == 0 {
 		f, err := Factor(global, opts)
 		if err != nil {
-			errText = err.Error()
+			rootErr = err
 		} else {
 			d.f = f
 			d.global = global
-			d.nnz = global.NNZ()
+			nnz = global.NNZ()
 		}
 	}
-	errText = c.BcastString(0, errText)
-	if errText != "" {
-		return nil, fmt.Errorf("slu: distributed factorization failed: %s", errText)
+	// One broadcast carries both the outcome (nnz < 0 on failure) and
+	// nnz; the error itself is exchanged only on failure.
+	if d.nnz = c.BcastInt(0, nnz); d.nnz < 0 {
+		return nil, fmt.Errorf("slu: distributed factorization failed: %w", bcastRootError(c, rootErr))
 	}
-	d.nnz = c.BcastInt(0, d.nnz)
 	return d, nil
 }
 
@@ -114,7 +117,7 @@ func (d *DistSolver) rootSolveInto(xLocal, bLocal []float64, steps int) (float64
 	l := d.layout
 	c := l.Comm()
 	d.bGlobal = pmat.GatherInto(l, 0, d.bGlobal, bLocal)
-	errText := ""
+	var rootErr error
 	d.stat[0], d.stat[1] = 0, 0
 	if c.Rank() == 0 {
 		if len(d.xGlobal) != l.N {
@@ -126,27 +129,20 @@ func (d *DistSolver) rootSolveInto(xLocal, bLocal []float64, steps int) (float64
 			}
 		}
 		stop := d.rec.StartPhase(telemetry.PhaseIterate)
-		err := d.f.SolveInto(d.xGlobal, d.bGlobal)
-		if err != nil {
-			errText = err.Error()
-		} else if steps > 0 {
+		rootErr = d.f.SolveInto(d.xGlobal, d.bGlobal)
+		if rootErr == nil && steps > 0 {
 			d.rec.Add("slu.refine_steps", int64(steps))
-			res, err := d.f.Refine(d.global, d.bGlobal, d.xGlobal, steps)
-			if err != nil {
-				errText = err.Error()
-			}
-			d.stat[1] = res
+			d.stat[1], rootErr = d.f.Refine(d.global, d.bGlobal, d.xGlobal, steps)
 		}
 		stop()
 		d.rec.Add("slu.root_solves", 1)
-		if errText != "" {
+		if rootErr != nil {
 			d.stat[0] = 1
 		}
 	}
 	c.BcastFloat64sInto(0, d.stat[:])
 	if d.stat[0] != 0 {
-		errText = c.BcastString(0, errText)
-		return 0, fmt.Errorf("slu: %s", errText)
+		return 0, fmt.Errorf("slu: %w", bcastRootError(c, rootErr))
 	}
 	c.ScatterVFloat64sInto(0, d.parts, xLocal)
 	return d.stat[1], nil
@@ -182,4 +178,35 @@ func (d *DistSolver) SolveRefinedInto(xLocal, bLocal []float64, steps int) (floa
 		return 0, fmt.Errorf("slu: DistSolver.SolveRefinedInto: negative step count %d", steps)
 	}
 	return d.rootSolveInto(xLocal, bLocal, steps)
+}
+
+// rootError is rank 0's failure as every rank reports it: rank 0's
+// error text, still wrapping ErrSingular when rank 0's error did, so
+// errors.Is classifies the failure identically on all ranks.
+type rootError struct {
+	text     string
+	singular bool
+}
+
+func (e *rootError) Error() string { return e.text }
+
+func (e *rootError) Unwrap() error {
+	if e.singular {
+		return ErrSingular
+	}
+	return nil
+}
+
+// bcastRootError rebuilds rank 0's failure err on every rank
+// (collective; err is only read on rank 0): its text, and whether it
+// wrapped ErrSingular.
+func bcastRootError(c *comm.Comm, err error) error {
+	text, singular := "", 0
+	if c.Rank() == 0 {
+		text = err.Error()
+		if errors.Is(err, ErrSingular) {
+			singular = 1
+		}
+	}
+	return &rootError{text: c.BcastString(0, text), singular: c.BcastInt(0, singular) == 1}
 }

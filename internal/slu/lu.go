@@ -1,11 +1,17 @@
 package slu
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/sparse"
 )
+
+// ErrSingular reports a structurally or numerically singular matrix:
+// an all-zero row or column, or a column with no usable pivot. Factor
+// wraps it with the failing row or column.
+var ErrSingular = errors.New("slu: matrix is singular")
 
 // Options control the factorization, mirroring SuperLU's driver options.
 type Options struct {
@@ -110,7 +116,7 @@ func Factor(a *sparse.CSR, opts Options) (*LU, error) {
 		col := q[k]
 		b0, b1 := acsc.ColPtr[col], acsc.ColPtr[col+1]
 		if b0 == b1 {
-			return nil, fmt.Errorf("slu: structurally singular: column %d is empty", col)
+			return nil, fmt.Errorf("%w: column %d is empty (structurally singular)", ErrSingular, col)
 		}
 
 		// ---- Symbolic: reach of the column pattern through L ----
@@ -192,7 +198,7 @@ func Factor(a *sparse.CSR, opts Options) (*LU, error) {
 			}
 		}
 		if pivRow < 0 || maxAbs == 0 {
-			return nil, fmt.Errorf("slu: matrix is singular at column %d (no usable pivot)", k)
+			return nil, fmt.Errorf("%w at column %d (no usable pivot)", ErrSingular, k)
 		}
 		if diagRow >= 0 && math.Abs(x[diagRow]) >= opts.PivotThreshold*maxAbs {
 			pivRow = diagRow // prefer the diagonal under the threshold rule
@@ -251,7 +257,7 @@ func equilibrate(a *sparse.CSR) (*sparse.CSR, []float64, []float64, error) {
 			}
 		}
 		if m == 0 {
-			return nil, nil, nil, fmt.Errorf("slu: equilibrate: row %d is entirely zero", i)
+			return nil, nil, nil, fmt.Errorf("%w: equilibrate: row %d is entirely zero", ErrSingular, i)
 		}
 		dr[i] = 1 / m
 	}
@@ -269,7 +275,7 @@ func equilibrate(a *sparse.CSR) (*sparse.CSR, []float64, []float64, error) {
 	}
 	for j := 0; j < n; j++ {
 		if colMax[j] == 0 {
-			return nil, nil, nil, fmt.Errorf("slu: equilibrate: column %d is entirely zero", j)
+			return nil, nil, nil, fmt.Errorf("%w: equilibrate: column %d is entirely zero", ErrSingular, j)
 		}
 		dc[j] = 1 / colMax[j]
 	}

@@ -3,8 +3,6 @@ package sparse
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/par"
 )
 
 // FormatChoice is the runtime SpMV storage-format selection exposed as
@@ -86,20 +84,16 @@ type ProbeResult struct {
 
 // ProbeFormats times the candidate kernels on the actual operand and
 // returns the winner: CSR, SELL-C-σ, and the order-exact MSR kernel
-// (square matrices). Products run through the same pooled ParSpMV path
-// the steady state uses, in add mode when add is set, so the
-// measurement matches the bound kernel. Ties and
+// (square matrices). Products run through the same BoundSpMV path the
+// steady state uses, in add mode when add is set, so the measurement
+// matches the bound kernel. Ties and
 // probe-noise margins go to CSR: a candidate must beat CSR strictly to
 // win, so auto never regresses the legacy path beyond noise.
-func ProbeFormats(a *CSR, add bool, p *par.Pool) ProbeResult {
+func ProbeFormats(a *CSR, add bool) ProbeResult {
 	if a.NNZ() < probeMinNNZ || a.Rows == 0 {
 		return ProbeResult{Choice: ChoiceCSR, Heuristic: true}
 	}
 	start := time.Now()
-	workers := 1
-	if p != nil {
-		workers = p.Workers()
-	}
 
 	// Fixed, cheap, sign-mixed probe vector (no RNG dependency).
 	x := make([]float64, a.Cols)
@@ -108,13 +102,13 @@ func ProbeFormats(a *CSR, add bool, p *par.Pool) ProbeResult {
 	}
 	y := make([]float64, a.Rows)
 
-	var t ParSpMV
+	var t BoundSpMV
 	timeKernel := func() int64 {
 		var reps [probeReps]int64
-		t.Apply(p, y, x) // warm-up: faults pages, warms caches
+		t.Apply(y, x) // warm-up: faults pages, warms caches
 		for r := 0; r < probeReps; r++ {
 			t0 := time.Now()
-			t.Apply(p, y, x)
+			t.Apply(y, x)
 			reps[r] = time.Since(t0).Nanoseconds()
 		}
 		// Median of probeReps (insertion sort of a fixed small array).
@@ -141,7 +135,7 @@ func ProbeFormats(a *CSR, add bool, p *par.Pool) ProbeResult {
 	// challengers.
 	t.BindCSR(a, add)
 	record(FmtCSR, ChoiceCSR)
-	t.BindSELL(SELLFromCSR(a, TunedSELLChunk(a.Rows, workers)), add, workers)
+	t.BindSELL(SELLFromCSR(a, DefaultSELLChunk), add)
 	record(FmtSELL, ChoiceSELL)
 	if a.Rows == a.Cols {
 		if m, split, err := MSROrderedFromCSR(a); err == nil {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-
-	"repro/internal/par"
 )
 
 // kernelMatrices is the property-test corpus: random (unsymmetric and
@@ -78,34 +76,32 @@ func bitsEqual(t *testing.T, label string, got, want []float64) {
 	}
 }
 
-// formatBindings enumerates every ParSpMV binding for one matrix that
+// formatBindings enumerates every BoundSpMV binding for one matrix that
 // must be bitwise-identical to serial CSR. MSR appears only for square
 // ones — exactly the gating the autotuner applies.
-func formatBindings(t testing.TB, a *CSR, add bool, workers int) map[string]*ParSpMV {
-	out := map[string]*ParSpMV{}
-	bind := func(name string, f func(p *ParSpMV)) {
-		p := &ParSpMV{}
+func formatBindings(t testing.TB, a *CSR, add bool) map[string]*BoundSpMV {
+	out := map[string]*BoundSpMV{}
+	bind := func(name string, f func(p *BoundSpMV)) {
+		p := &BoundSpMV{}
 		f(p)
 		out[name] = p
 	}
-	bind("csr", func(p *ParSpMV) { p.BindCSR(a, add) })
-	bind("sell", func(p *ParSpMV) { p.BindSELL(SELLFromCSR(a, TunedSELLChunk(a.Rows, workers)), add, workers) })
-	bind("sell-c4", func(p *ParSpMV) { p.BindSELL(SELLFromCSR(a, 4), add, workers) })
+	bind("csr", func(p *BoundSpMV) { p.BindCSR(a, add) })
+	bind("sell", func(p *BoundSpMV) { p.BindSELL(SELLFromCSR(a, DefaultSELLChunk), add) })
+	bind("sell-c4", func(p *BoundSpMV) { p.BindSELL(SELLFromCSR(a, 4), add) })
 	if a.Rows == a.Cols {
 		m, split, err := MSROrderedFromCSR(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bind("msr", func(p *ParSpMV) { p.BindMSROrdered(m, split, add) })
+		bind("msr", func(p *BoundSpMV) { p.BindMSROrdered(m, split, add) })
 	}
 	return out
 }
 
 // TestFormatsBitwiseIdenticalToCSR is the format-autotuning
-// determinism property: every format × worker count ∈ {1,2,4,7} ×
-// {mul, add} reproduces the serial CSR kernel bit for bit on the whole
-// matrix corpus. Run under -race this also exercises the pooled
-// dispatch synchronization.
+// determinism property: every bound format × {mul, add} reproduces the
+// serial CSR kernel bit for bit on the whole matrix corpus.
 func TestFormatsBitwiseIdenticalToCSR(t *testing.T) {
 	for name, a := range kernelMatrices(t) {
 		t.Run(name, func(t *testing.T) {
@@ -119,34 +115,30 @@ func TestFormatsBitwiseIdenticalToCSR(t *testing.T) {
 			copy(wantAdd, y0)
 			a.MulVecAdd(wantAdd, x)
 
-			for _, workers := range []int{1, 2, 4, 7} {
-				pool := par.New(workers)
-				for _, add := range []bool{false, true} {
-					want := wantMul
-					if add {
-						want = wantAdd
-					}
-					for fname, k := range formatBindings(t, a, add, workers) {
-						y := make([]float64, a.Rows)
-						copy(y, y0)
-						if !add {
-							// Poison to catch kernels that skip writes.
-							for i := range y {
-								y[i] = math.NaN()
-							}
-						}
-						k.Apply(pool, y, x)
-						bitsEqual(t, fmt.Sprintf("%s/%s/w=%d/add=%v", name, fname, workers, add), y, want)
-					}
+			for _, add := range []bool{false, true} {
+				want := wantMul
+				if add {
+					want = wantAdd
 				}
-				pool.Close()
+				for fname, k := range formatBindings(t, a, add) {
+					y := make([]float64, a.Rows)
+					copy(y, y0)
+					if !add {
+						// Poison to catch kernels that skip writes.
+						for i := range y {
+							y[i] = math.NaN()
+						}
+					}
+					k.Apply(y, x)
+					bitsEqual(t, fmt.Sprintf("%s/%s/add=%v", name, fname, add), y, want)
+				}
 			}
 		})
 	}
 }
 
-// TestFormatSerialKernelsBitwise pins the serial convenience kernels
-// (SELL MulVec and MulVecAdd without a pool) to the CSR bits too.
+// TestFormatSerialKernelsBitwise pins the SELL MulVec and MulVecAdd
+// kernels on a default-chunk conversion to the CSR bits too.
 func TestFormatSerialKernelsBitwise(t *testing.T) {
 	for name, a := range kernelMatrices(t) {
 		x := RandomVector(a.Cols, 11)
@@ -211,7 +203,7 @@ func TestParseFormatChoice(t *testing.T) {
 // enrolled a VBR candidate.
 func TestProbeFormats(t *testing.T) {
 	tiny := Tridiag(50, -1, 2, -1)
-	if res := ProbeFormats(tiny, false, nil); !res.Heuristic || res.Choice != ChoiceCSR || len(res.Candidates) != 0 {
+	if res := ProbeFormats(tiny, false); !res.Heuristic || res.Choice != ChoiceCSR || len(res.Candidates) != 0 {
 		t.Fatalf("tiny probe: %+v, want heuristic CSR", res)
 	}
 
@@ -232,7 +224,7 @@ func TestProbeFormats(t *testing.T) {
 	}
 	want := []Format{FmtCSR, FmtSELL, FmtMSR}
 	for name, a := range map[string]*CSR{"stencil": Laplace2D(60, 60), "block3": blk.ToCSR()} {
-		res := ProbeFormats(a, false, nil)
+		res := ProbeFormats(a, false)
 		if res.Heuristic {
 			t.Fatalf("%s: probe took the fast path on a large matrix", name)
 		}

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -172,6 +173,17 @@ func TestReadCOOErrors(t *testing.T) {
 	for name, in := range cases {
 		if _, err := ReadCOO(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: ReadCOO accepted malformed input", name)
+		}
+	}
+	// Non-finite values are typed like the strict Matrix Market
+	// parser's, on ReadCOO and on the ReadMatrixAuto fallback to it.
+	for _, v := range []string{"nan", "NaN", "inf", "-Inf", "infinity", "1e400"} {
+		in := "2 2 1\n1 1 " + v + "\n"
+		if _, err := ReadCOO(strings.NewReader(in)); !errors.Is(err, ErrMMEntry) {
+			t.Errorf("ReadCOO %q: got %v, want ErrMMEntry", v, err)
+		}
+		if _, err := ReadMatrixAuto(strings.NewReader(in)); !errors.Is(err, ErrMMEntry) {
+			t.Errorf("ReadMatrixAuto %q: got %v, want ErrMMEntry", v, err)
 		}
 	}
 }

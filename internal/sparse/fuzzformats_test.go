@@ -30,7 +30,7 @@ func fuzzBitsEqual(t *testing.T, label string, got, want []float64) {
 // FuzzSELLFromCSR drives the CSR→SELL-C-σ converter with arbitrary
 // matrices and chunk heights: the result must validate, round-trip to
 // the identical CSR, and reproduce the CSR product bit for bit
-// (including MulVecAdd and the pooled binding's serial path).
+// (including MulVecAdd and the BoundSpMV binding).
 func FuzzSELLFromCSR(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{3, 3, 0, 0, 1, 0, 0, 0, 1, 1, 2, 0, 0, 0, 2, 2, 3, 0, 0, 0}, uint8(2))
@@ -62,11 +62,11 @@ func FuzzSELLFromCSR(f *testing.F) {
 		s.MulVecAdd(got, x)
 		fuzzBitsEqual(t, "SELL.MulVecAdd", got, want)
 
-		var k ParSpMV
-		k.BindSELL(s, false, 1)
-		k.Apply(nil, got, x)
+		var k BoundSpMV
+		k.BindSELL(s, false)
+		k.Apply(got, x)
 		wantMul := make([]float64, a.Rows)
 		a.MulVec(wantMul, x)
-		fuzzBitsEqual(t, "ParSpMV/SELL", got, wantMul)
+		fuzzBitsEqual(t, "BoundSpMV/SELL", got, wantMul)
 	})
 }

@@ -93,9 +93,9 @@ func ReadCOO(r io.Reader) (*COO, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sparse: ReadCOO: line %d: %v", line, err)
 		}
-		v, err := strconv.ParseFloat(fields[2], 64)
+		v, err := parseFinite(fields[2])
 		if err != nil {
-			return nil, fmt.Errorf("sparse: ReadCOO: line %d: %v", line, err)
+			return nil, fmt.Errorf("sparse: ReadCOO: line %d: %w: %v", line, ErrMMEntry, err)
 		}
 		if i < 1 || i > rows || j < 1 || j > cols {
 			return nil, fmt.Errorf("sparse: ReadCOO: line %d: index (%d,%d) outside %dx%d", line, i, j, rows, cols)

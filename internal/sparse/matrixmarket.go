@@ -374,7 +374,23 @@ func parseMMValue(s string, integer bool) (float64, error) {
 	if i := strings.IndexAny(s, "dD"); i >= 0 {
 		s = s[:i] + "e" + s[i+1:]
 	}
-	return strconv.ParseFloat(s, 64)
+	return parseFinite(s)
+}
+
+// parseFinite parses a real value and rejects NaN and ±Inf (spelled
+// nan, inf or infinity in any case, which strconv accepts). No solver
+// can use a non-finite operator entry: a direct factorization would
+// report success with a NaN solution and a Krylov method would burn its
+// iteration budget, so the value fails at ingestion instead.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("non-finite value %q", s)
+	}
+	return v, nil
 }
 
 // WriteMatrixMarket writes m as a Matrix Market coordinate real file.

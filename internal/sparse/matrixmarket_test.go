@@ -208,6 +208,13 @@ func TestMatrixMarketTypedErrors(t *testing.T) {
 		{"upper in symmetric", "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 2 5\n", ErrMMSymmetry},
 		{"duplicate", "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 5\n1 1 3\n", ErrMMDuplicate},
 		{"array count", "%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n", ErrMMEntry},
+		{"nan", "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 nan\n", ErrMMEntry},
+		{"NaN", "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 NaN\n", ErrMMEntry},
+		{"inf", "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 inf\n", ErrMMEntry},
+		{"-Infinity", "%%MatrixMarket matrix coordinate real general\n2 2 1\n2 2 -Infinity\n", ErrMMEntry},
+		{"overflow value", "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1D+400\n", ErrMMEntry},
+		{"nan in symmetric", "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n2 1 nan\n", ErrMMEntry},
+		{"inf in array", "%%MatrixMarket matrix array real general\n1 2\n1\n+inf\n", ErrMMEntry},
 	}
 	for _, tc := range cases {
 		_, err := ReadMatrixMarket(strings.NewReader(tc.input))
@@ -274,6 +281,7 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 5\n1 1 3\n")
 	f.Add("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1.0D+00\n")
 	f.Add("% no banner\n2 2 1\n1 1 1\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 nan\n2 2 -inf\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		if len(input) > 1<<16 {
 			return
@@ -286,10 +294,8 @@ func FuzzReadMatrixMarket(f *testing.F) {
 			return // keep the round-trip cheap
 		}
 		for _, v := range a.Vals {
-			if math.IsNaN(v) {
-				// NaN payload bits do not survive text round-trips
-				// canonically; skip the bitwise comparison.
-				return
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("parsed a non-finite value %v from input %q", v, input)
 			}
 		}
 		var buf bytes.Buffer

@@ -19,7 +19,7 @@ import (
 // ever enters the arithmetic. Combined with steps preserving each
 // row's CSR entry order, every row accumulates in exactly the serial
 // CSR sequence: results are bitwise-identical to CSR.MulVec for any
-// chunk size, σ, and worker count.
+// chunk size and σ.
 type SELL struct {
 	Rows, Cols int
 	C          int // chunk height (rows per chunk)
@@ -40,10 +40,9 @@ type SELL struct {
 	ColInd   []int
 	Vals     []float64
 
-	// acc is the per-chunk accumulator scratch for the serial kernels
-	// (len C). The serial MulVec/MulVecAdd are therefore not safe for
-	// concurrent use on a shared receiver; the pooled path in ParSpMV
-	// carries per-slot scratch instead.
+	// acc is the per-chunk accumulator scratch for the kernels
+	// (len C). MulVec/MulVecAdd are therefore not safe for concurrent
+	// use on a shared receiver.
 	acc []float64
 }
 
@@ -51,22 +50,6 @@ type SELL struct {
 // unrolled lane loop amortizes the per-step bookkeeping, short enough
 // that the accumulator scratch stays in L1.
 const DefaultSELLChunk = 32
-
-// TunedSELLChunk returns the chunk height to use for a matrix with the
-// given row count on a pool with the given worker count (0 or 1 means
-// serial). The chunk is shrunk from DefaultSELLChunk only when needed
-// so that every worker's static slot range covers at least one whole
-// chunk — the pooled kernel partitions work at chunk granularity, so
-// this keeps all workers busy on small operators.
-func TunedSELLChunk(rows, workers int) int {
-	c := DefaultSELLChunk
-	if workers > 1 {
-		for c > 4 && rows/c < workers {
-			c /= 2
-		}
-	}
-	return c
-}
 
 // SELLFromCSR converts a CSR matrix to SELL-C-σ. chunk is the chunk
 // height C (≤ 0 selects DefaultSELLChunk); the sorting window σ is
@@ -229,10 +212,11 @@ func (s *SELL) Validate() error {
 	return nil
 }
 
-// mulChunk computes the products of chunk ch into acc (one slot per
+// mulChunk computes the products of chunk ch into s.acc (one slot per
 // lane, accumulated in each row's CSR entry order) and returns the
-// chunk's row range. acc must have length ≥ the chunk height.
-func (s *SELL) mulChunk(ch int, acc, x []float64) (r0, r1 int) {
+// chunk's row range.
+func (s *SELL) mulChunk(ch int, x []float64) (r0, r1 int) {
+	acc := s.acc
 	r0, r1 = ch*s.C, (ch+1)*s.C
 	if r1 > s.Rows {
 		r1 = s.Rows
@@ -268,9 +252,10 @@ func (s *SELL) mulChunk(ch int, acc, x []float64) (r0, r1 int) {
 	return r0, r1
 }
 
-// scatterChunk writes acc back to y for the chunk rows, through Perm
+// scatterChunk writes s.acc back to y for the chunk rows, through Perm
 // when present, adding when add is set.
-func (s *SELL) scatterChunk(r0, r1 int, acc, y []float64, add bool) {
+func (s *SELL) scatterChunk(r0, r1 int, y []float64, add bool) {
+	acc := s.acc
 	if s.Perm == nil {
 		if add {
 			for l, r := 0, r0; r < r1; l, r = l+1, r+1 {
@@ -296,14 +281,13 @@ func (s *SELL) scatterChunk(r0, r1 int, acc, y []float64, add bool) {
 
 // MulVec computes y = A*x, bitwise-identical to CSR.MulVec on the
 // matrix this SELL was converted from. Not safe for concurrent calls
-// on one receiver (chunk scratch is receiver-owned); use ParSpMV for
-// the pooled path.
+// on one receiver (chunk scratch is receiver-owned).
 func (s *SELL) MulVec(y, x []float64) {
 	checkDims("SELL.MulVec x", s.Cols, len(x))
 	checkDims("SELL.MulVec y", s.Rows, len(y))
 	for ch := 0; ch < s.NumChunks(); ch++ {
-		r0, r1 := s.mulChunk(ch, s.acc, x)
-		s.scatterChunk(r0, r1, s.acc, y, false)
+		r0, r1 := s.mulChunk(ch, x)
+		s.scatterChunk(r0, r1, y, false)
 	}
 }
 
@@ -313,8 +297,8 @@ func (s *SELL) MulVecAdd(y, x []float64) {
 	checkDims("SELL.MulVecAdd x", s.Cols, len(x))
 	checkDims("SELL.MulVecAdd y", s.Rows, len(y))
 	for ch := 0; ch < s.NumChunks(); ch++ {
-		r0, r1 := s.mulChunk(ch, s.acc, x)
-		s.scatterChunk(r0, r1, s.acc, y, true)
+		r0, r1 := s.mulChunk(ch, x)
+		s.scatterChunk(r0, r1, y, true)
 	}
 }
 

@@ -63,8 +63,8 @@ func BenchmarkSpMVFormats(b *testing.B) {
 		}
 		// The probe-bound steady-state kernel: what format=auto runs
 		// after Setup. Must never lose to CSR beyond probe noise.
-		var auto ParSpMV
-		bindProbeWinner(b, &auto, a, ProbeFormats(a, false, nil).Choice)
+		var auto BoundSpMV
+		bindProbeWinner(b, &auto, a, ProbeFormats(a, false).Choice)
 		for _, tc := range kernels {
 			b.Run(fam.name+"/"+tc.name, func(b *testing.B) {
 				b.ReportAllocs()
@@ -78,7 +78,7 @@ func BenchmarkSpMVFormats(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(a.NNZ() * 8))
 			for i := 0; i < b.N; i++ {
-				auto.Apply(nil, y, x)
+				auto.Apply(y, x)
 			}
 		})
 	}
@@ -86,11 +86,11 @@ func BenchmarkSpMVFormats(b *testing.B) {
 
 // bindProbeWinner binds one probe decision for a into k, the way
 // pmat.Mat.SetFormat does for format=auto.
-func bindProbeWinner(b *testing.B, k *ParSpMV, a *CSR, choice FormatChoice) {
+func bindProbeWinner(b *testing.B, k *BoundSpMV, a *CSR, choice FormatChoice) {
 	b.Helper()
 	switch choice {
 	case ChoiceSELL:
-		k.BindSELL(SELLFromCSR(a, TunedSELLChunk(a.Rows, 1)), false, 1)
+		k.BindSELL(SELLFromCSR(a, DefaultSELLChunk), false)
 	case ChoiceMSR:
 		m, split, err := MSROrderedFromCSR(a)
 		if err != nil {
@@ -109,7 +109,7 @@ func BenchmarkFormatProbe(b *testing.B) {
 	b.ReportAllocs()
 	a := benchOperator(100)
 	for i := 0; i < b.N; i++ {
-		if res := ProbeFormats(a, false, nil); res.Heuristic {
+		if res := ProbeFormats(a, false); res.Heuristic {
 			b.Fatal("probe took the tiny-matrix fast path")
 		}
 	}

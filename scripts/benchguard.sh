@@ -38,7 +38,7 @@ PKGS=(
   "./internal/service"
   "./internal/mesh"
 )
-PATTERN='^(BenchmarkCOOToCSR|BenchmarkTranspose|BenchmarkMSRConversion|BenchmarkSpMVFormats|BenchmarkFormatProbe|BenchmarkNilRecorderAdd|BenchmarkNilRecorderStartPhase|BenchmarkRecorderAdd|BenchmarkRecorderResidual|BenchmarkSessionReuseSolve|BenchmarkSolveSteadyState|BenchmarkApplyAllocs|BenchmarkServiceSolveReuse|BenchmarkApplyWorkers|BenchmarkFEMAssembly|BenchmarkReadMatrixMarket|BenchmarkMMIngestSetup|BenchmarkMDot)$'
+PATTERN='^(BenchmarkCOOToCSR|BenchmarkTranspose|BenchmarkMSRConversion|BenchmarkSpMVFormats|BenchmarkFormatProbe|BenchmarkNilRecorderAdd|BenchmarkNilRecorderStartPhase|BenchmarkRecorderAdd|BenchmarkRecorderResidual|BenchmarkSessionReuseSolve|BenchmarkSolveSteadyState|BenchmarkApplyAllocs|BenchmarkServiceSolveReuse|BenchmarkFEMAssembly|BenchmarkReadMatrixMarket|BenchmarkMMIngestSetup|BenchmarkMDot)$'
 
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT
